@@ -21,13 +21,12 @@ bit-level trace contracts:
   add/mul/div/min match scalar Python bit for bit).
 
 * :class:`FleetVectorKernel` carries the numpy-batched (N servers ×
-  S sockets) physics the fleet engine has always used.  Its
-  :meth:`FleetVectorKernel.step` method is the pre-kernel per-tick
-  implementation (kept as the equivalence oracle and benchmark
-  baseline); :meth:`FleetVectorKernel.step_into` evaluates the *same*
-  ufunc expressions but writes straight into preallocated trace rows
-  and skips redundant per-tick validation, so its traces stay
-  bit-identical to the legacy stepping path.
+  S sockets) physics of the fleet engine's ``vector`` and ``sharded``
+  backends: :meth:`FleetVectorKernel.step_into` writes one tick
+  straight into preallocated trace rows, caching every quantity whose
+  inputs did not change.  Its bit-identity oracles are the committed
+  golden traces and the fleet engine's ``reference`` backend (one
+  real simulator per server, through the same tick loop).
 
 The sensor-noise batching relies on ``Generator.normal`` filling
 arrays in C order from the same bit stream scalar draws consume (see
@@ -37,9 +36,8 @@ reproduce the pre-kernel noisy traces draw for draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -807,40 +805,29 @@ class SingleServerKernel:
             column[:tick] = arrays[f"col_{name}"]
 
 
-@dataclass
-class FleetTickState:
-    """Per-server outputs of one legacy-path physics tick."""
-
-    total_power_w: np.ndarray
-    fan_power_w: np.ndarray
-    airflow_cfm: np.ndarray
-    mean_rpm: np.ndarray
-    max_junction_c: np.ndarray
-    avg_junction_c: np.ndarray
-    leakage_w: np.ndarray
-    leakage_slope_w_per_c: np.ndarray
-    dimm_bank_c: np.ndarray
-    #: Executed (busy-fraction) utilization after the p-state stretch.
-    executed_pct: np.ndarray
-    #: DVFS deficit rate this tick, nominal percent (0 when keeping up).
-    work_deficit_pct: np.ndarray
-    #: P-state each server ran this tick.
-    pstate_index: np.ndarray
-
-
 #: Cold-start fan settle horizon, seconds (matches the paper protocol's
 #: ">= 10 minutes idle" phase; long enough that any rotor reaches the
 #: commanded speed exactly).
 COLD_START_SETTLE_S = 600.0
 
 
+def settle_cold(sim: ServerSimulator, cold_start_rpm: float) -> None:
+    """The experiment protocol's pre-``t = 0`` idle settle of one server."""
+    sim.set_fan_rpm(cold_start_rpm)
+    sim.fans.step(dt_s=COLD_START_SETTLE_S)
+    sim.settle_to_steady_state(utilization_pct=0.0)
+
+
 class FleetVectorKernel:
     """Numpy-batched physics for a homogeneous-socket-count fleet.
 
-    Parameter extraction, persistent ``(N, S)`` state arrays and the
-    legacy per-tick :meth:`step` moved here verbatim from the fleet
-    engine's vector backend; :meth:`step_into` is the kernelized fast
-    path sharing the same state and ufunc expressions.
+    Per-server parameters and persistent ``(N, S)`` state arrays, one
+    tick at a time through :meth:`step_into`.  The rest of the surface
+    (:meth:`set_pstate`, :meth:`avg_junction_c`,
+    :meth:`leakage_slope_w_per_c`, :meth:`check_critical`, checkpoint
+    state) is what the fleet tick loop and the shard workers drive; the
+    fleet engine's reference stepper implements the same surface over
+    real simulators.
     """
 
     def __init__(self, fleet, metrics=None):
@@ -917,9 +904,9 @@ class FleetVectorKernel:
         self.static_scale = np.ones(n)
         self.dynamic_scale = np.ones(n)
 
-        # fast-path caches (kernelized step only; every cached value is
-        # bit-identical to recomputing it, because its inputs are
-        # unchanged between invalidations)
+        # step caches (every cached value is bit-identical to
+        # recomputing it, because its inputs are unchanged between
+        # invalidations)
         self._fan_flow_scale = self.fan_count * self.fan_cfm_ref
         self._fan_power_scale = self.fan_count * self.fan_power_ref_w
         self._rpm_derived = None
@@ -955,9 +942,7 @@ class FleetVectorKernel:
                 ambient=ConstantAmbient(float(supply[i])),
                 trip_on_critical=False,
             )
-            sim.set_fan_rpm(cold_start_rpm)
-            sim.fans.step(dt_s=COLD_START_SETTLE_S)
-            sim.settle_to_steady_state(utilization_pct=0.0)
+            settle_cold(sim, cold_start_rpm)
             self.t_j[i] = sim.thermal.state.junction_c
             self.t_h[i] = sim.thermal.state.heatsink_c
             self.t_m[i] = sim.thermal.state.dimm_bank_c
@@ -1005,6 +990,14 @@ class FleetVectorKernel:
         self._active_static = None
         self._stretch_trivial = bool((self.freq_ratio == 1.0).all())
 
+    def checkpoint_state(self) -> Tuple[Dict[str, np.ndarray], None]:
+        """``(arrays, objects)`` for a fleet-loop checkpoint: arrays only."""
+        return self.state_arrays(), None
+
+    def restore_state(self, arrays: Dict[str, np.ndarray], objects: None) -> None:
+        """Inverse of :meth:`checkpoint_state`."""
+        self.load_state_arrays(arrays)
+
     def _leakage(self, t_j: np.ndarray) -> np.ndarray:
         return leakage_power_w(
             self.leak_const_w, self.leak_k2_w, self.leak_k3_per_c, t_j
@@ -1016,90 +1009,9 @@ class FleetVectorKernel:
             self.leak_k2_w, self.leak_k3_per_c, self.t_j
         ).sum(axis=1)
 
-    # ------------------------------------------------------------------
-    # legacy per-tick step (the pre-kernel implementation, kept as the
-    # equivalence oracle and benchmark baseline)
-    # ------------------------------------------------------------------
-    def step(
-        self,
-        dt_s: float,
-        demand_pct: np.ndarray,
-        rpm_command: np.ndarray,
-        inlet_c: np.ndarray,
-        offsets_c: np.ndarray,
-    ) -> FleetTickState:
-        """One validated tick returning a fresh :class:`FleetTickState`."""
-        self._rpm_derived = None  # this legacy path moves the rotors itself
-        # fan slew, then airflow/power at the new speed (as the
-        # single-server simulator orders it)
-        max_delta = self.fan_slew * dt_s
-        self.rpm += np.clip(rpm_command - self.rpm, -max_delta, max_delta)
-        airflow = self.fan_count * self.fan_cfm_ref * self.rpm / self.fan_rpm_ref
-        fan_power = (
-            self.fan_count
-            * self.fan_power_ref_w
-            * (self.rpm / self.fan_rpm_ref) ** self.fan_power_exp
-        )
-
-        # DVFS stretch: demanded nominal work runs slower at a deep
-        # p-state, so the busy fraction grows by f_nom/f and saturates
-        # at 100% — the saturated remainder is lost throughput,
-        # reported (in nominal percent) as the work deficit.  Ordering
-        # matches DvfsSpec.executed_utilization_pct / work_deficit_pct
-        # so the batch stays bit-compatible with the scalar simulator.
-        stretched = demand_pct / self.freq_ratio
-        u = np.minimum(100.0, stretched)
-        deficit = np.where(
-            stretched <= 100.0, 0.0, (stretched - 100.0) * self.freq_ratio
-        )
-
-        mem_power = self.mem_idle_w + self.mem_k_w_pct * u
-        capacity = airflow_heat_capacity_w_per_k(airflow)
-        cpu_inlet = inlet_c + self.preheat_frac * mem_power / capacity
-        r_ma = convective_resistance_k_w(
-            self.mem_r_ref, self.rpm, self.mem_rpm_ref, self.mem_flow_exp
-        )
-        r_ha = convective_resistance_k_w(
-            self.r_ha_ref, self.rpm[:, None], self.rpm_ref_thermal, self.flow_exp
-        )
-
-        active = (
-            self.sock_idle_w * self.static_scale[:, None]
-            + self.sock_k_w_pct * u[:, None] * self.dynamic_scale[:, None]
-        )
-        substeps, h = substep_schedule(dt_s)
-        cpu_inlet_col = cpu_inlet[:, None]
-        for _ in range(substeps):
-            heat_in = active + self._leakage(self.t_j)
-            q_jh = (self.t_j - self.t_h) / self.r_jh
-            q_ha = (self.t_h - cpu_inlet_col) / r_ha
-            self.t_j += h * (heat_in - q_jh) / self.c_j
-            self.t_h += h * (q_jh - q_ha) / self.c_h
-            q_ma = (self.t_m - inlet_c) / r_ma
-            self.t_m += h * (mem_power - q_ma) / self.mem_c_bank
-
-        leakage = self._leakage(self.t_j)
-        total = (
-            self.board_w
-            + mem_power
-            + active.sum(axis=1)
-            + leakage.sum(axis=1)
-            + fan_power
-        )
-        return FleetTickState(
-            total_power_w=total,
-            fan_power_w=fan_power,
-            airflow_cfm=airflow,
-            mean_rpm=self.rpm.copy(),
-            max_junction_c=self.t_j.max(axis=1),
-            avg_junction_c=self.t_j.mean(axis=1),
-            leakage_w=leakage.sum(axis=1),
-            leakage_slope_w_per_c=self.leakage_slope_w_per_c(),
-            dimm_bank_c=self.t_m.copy(),
-            executed_pct=u,
-            work_deficit_pct=deficit,
-            pstate_index=self.pstate.copy(),
-        )
+    def avg_junction_c(self) -> np.ndarray:
+        """Per-server mean junction temperature, °C."""
+        return self.t_j.mean(axis=1)
 
     # ------------------------------------------------------------------
     # kernelized fast path
@@ -1123,19 +1035,19 @@ class FleetVectorKernel:
     ):
         """One tick written into preallocated trace rows.
 
-        Evaluates exactly the ufunc expressions of :meth:`step` (same
-        operands, same order — the bit-identity contract) but skips the
-        per-call finiteness checks inside
-        :func:`convective_resistance_k_w` /
-        :func:`airflow_heat_capacity_w_per_k` (inputs are validated at
-        command time; a single positivity guard preserves the zero-rpm
-        error), allocates no per-tick state object, and caches every
-        quantity whose inputs did not change since the previous tick —
-        the rotor-speed-derived resistances/airflow/fan power while the
-        fans are settled on their commands, the static-power term while
-        no p-state changes, and the trivial DVFS stretch while every
-        server runs nominal frequency.  Cached or not, the values are
-        bit-identical to :meth:`step`'s.
+        Fan slew, then airflow/power at the new speed (as the
+        single-server simulator orders it), the DVFS stretch, the RC
+        substeps and the power decomposition.  The per-call finiteness
+        checks inside :func:`convective_resistance_k_w` /
+        :func:`airflow_heat_capacity_w_per_k` are skipped (inputs are
+        validated at command time; a single positivity guard preserves
+        the zero-rpm error), no per-tick state object is allocated, and
+        every quantity whose inputs did not change since the previous
+        tick is cached — the rotor-speed-derived resistances/airflow/fan
+        power while the fans are settled on their commands, the
+        static-power term while no p-state changes, and the trivial
+        DVFS stretch while every server runs nominal frequency.  Cached
+        or not, the values are bit-identical to recomputing them.
 
         Returns ``(air_capacity_w_per_k, leakage_w)`` — the stream heat
         capacity (for the exhaust-rise recirculation step) and the
@@ -1247,11 +1159,5 @@ class FleetVectorKernel:
             )
 
     def initial_views_data(self):
-        """(max_j, avg_j, leakage_w, leakage_slope) before the first tick."""
-        leak = self._leakage(self.t_j)
-        return (
-            self.t_j.max(axis=1),
-            self.t_j.mean(axis=1),
-            leak.sum(axis=1),
-            self.leakage_slope_w_per_c(),
-        )
+        """(max_j, leakage_w) before the first tick."""
+        return self.t_j.max(axis=1), self._leakage(self.t_j).sum(axis=1)

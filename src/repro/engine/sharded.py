@@ -18,11 +18,13 @@ Bit-identity with ``vector`` holds by construction, not by tolerance:
   row slice produces bit-identical results.
 * The only cross-server couplings — the ``coupling @ exhaust_rise``
   recirculation product and the scheduler's ranked fill — stay on the
-  coordinator, evaluated over the same gathered full-width arrays (and
-  in the same expression order) as the single-process loop.
+  coordinator, evaluated over the same gathered full-width arrays by
+  the very code the single-process loop runs
+  (:class:`~repro.fleet.stages.FleetPlacement`).
 * Controllers, poll clocks and stateful sensor-fault channels are
-  partitioned with their servers; no per-server state is ever touched
-  by two shards.
+  partitioned with their servers and polled by the shared
+  :class:`~repro.fleet.stages.ControllerBank` at the shard's slice
+  offset; no per-server state is ever touched by two shards.
 
 Per tick the coordinator and the k workers exchange exactly O(N)
 values through shared memory: workers publish their post-step summary
@@ -85,7 +87,7 @@ import resource
 import shutil
 import sys
 import tempfile
-from math import gcd, isnan
+from math import gcd
 from multiprocessing.connection import wait as _sentinel_wait
 from threading import BrokenBarrierError, Event, Thread
 from time import monotonic, perf_counter, sleep
@@ -104,7 +106,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation
 from repro.engine.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -121,11 +122,9 @@ from repro.engine.checkpoint import (
     save_pickle,
     staging_dir_for_tick,
 )
-from repro.engine.kernel import (
-    POLL_EPS_S,
-    FleetVectorKernel,
-    plan_tick_times,
-)
+from repro.engine.kernel import FleetVectorKernel, plan_tick_times
+from repro.fleet.scheduler import FleetLoadArrays
+from repro.fleet.stages import ControllerBank, FleetPlacement
 from repro.server.server import CriticalTemperatureError
 from repro.server.thermal import substep_schedule
 from repro.telemetry.segments import (
@@ -280,9 +279,11 @@ class _SharedBlock:
 class _ShardWorker:
     """One shard: kernel slice, controllers ``[lo, hi)``, trace spills.
 
-    :meth:`step` mirrors the poll / fan-cap / ``step_into`` / handoff
-    section of the ``vector`` loop over the shard's slice, expression
-    for expression — the bit-identity contract lives here.
+    :meth:`step` runs the poll / fan-cap / ``step_into`` / handoff
+    section of the ``vector`` loop over the shard's slice: the poll is
+    the shared :class:`~repro.fleet.stages.ControllerBank` at the
+    slice offset, and the handoff publishes the same expressions the
+    vector loop carries to its next tick.
     """
 
     def __init__(
@@ -335,20 +336,10 @@ class _ShardWorker:
         if self.resume_dir is None:
             if engine.cold_start:
                 kernel.force_cold_state(engine.cold_start_rpm)
-            self.controllers = engine.controllers[lo:hi]
-            rpm_command = np.empty(width)
-            for li, controller in enumerate(self.controllers):
-                controller.reset()
-                initial = controller.initial_rpm()
-                rpm_command[li] = engine._validated_command(
-                    lo + li,
-                    initial
-                    if initial is not None
-                    else float(kernel.rpm[li]),
-                )
-            self.rpm_command = rpm_command
-            self.next_poll = np.zeros(width)
-            self.next_poll_due = 0.0
+            self.bank = ControllerBank(
+                engine, engine.controllers[lo:hi], self.plan, lo
+            )
+            self.bank.reset(kernel.rpm)
         else:
             state = load_arrays(self.resume_dir, self._shard_name)
             kernel.load_state_arrays(
@@ -358,22 +349,17 @@ class _ShardWorker:
                 }
             )
             control = load_pickle(self.resume_dir, self._shard_name)
-            self.controllers = list(control["controllers"])
-            if len(self.controllers) != width:
+            controllers = list(control["controllers"])
+            if len(controllers) != width:
                 raise CheckpointError(
                     f"checkpoint shard {self.shard_id} holds "
-                    f"{len(self.controllers)} controllers, expected {width}"
+                    f"{len(controllers)} controllers, expected {width}"
                 )
             channels = control["sensor_channels"]
             if self.plan is not None and channels is not None:
                 self.plan.sensor_channels[lo:hi] = channels
-            self.rpm_command = state["rpm_command"].copy()
-            self.next_poll = state["next_poll"].copy()
-            self.next_poll_due = float(state["next_poll_due"])
-        self.decide_pstate_fns = [
-            getattr(controller, "decide_pstate", None)
-            for controller in self.controllers
-        ]
+            self.bank = ControllerBank(engine, controllers, self.plan, lo)
+            self.bank.load_state_arrays(state)
         self.apply_faults = self.plan is not None
 
         # chunk buffers: the only O(chunk x width) state a worker holds
@@ -403,54 +389,10 @@ class _ShardWorker:
             # matching the vector loop's pre-first-tick state); on
             # resume the coordinator restores the full summary arrays
             # from its own payload instead
-            max_junction_c, _, leak_w, slope = kernel.initial_views_data()
+            max_junction_c, leak_w = kernel.initial_views_data()
             self.shared.max_junction[self._sl] = max_junction_c
             self.shared.leakage[self._sl] = leak_w
-            self.shared.slope[self._sl] = slope
-
-    def _poll(self, time_s: float) -> None:
-        """Poll due controllers, exactly as the vector loop does."""
-        lo = self.lo
-        plan = self.plan
-        kernel = self.kernel
-        rpm_command = self.rpm_command
-        next_poll = self.next_poll
-        engine = self.engine
-        avg_junction_c = kernel.t_j.mean(axis=1)
-        for li in np.nonzero(time_s >= next_poll - POLL_EPS_S)[0]:
-            controller = self.controllers[li]
-            i = lo + int(li)
-            max_c = float(self._junction_view[li])
-            avg_c = float(avg_junction_c[li])
-            if self.apply_faults and plan.has_sensor_faults:
-                max_c, avg_c = plan.transform_observation(
-                    i, time_s, max_c, avg_c
-                )
-            # A dropped-out channel (NaN reading) makes the BMC hold
-            # the last fan and p-state commands; the poll clock still
-            # advances.
-            if not (isnan(max_c) or isnan(avg_c)):
-                observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max_c,
-                    avg_cpu_temperature_c=avg_c,
-                    utilization_pct=float(self._executed_view[li]),
-                    current_rpm_command=float(rpm_command[li]),
-                )
-                wanted = controller.decide(observation)
-                if wanted is not None and wanted != rpm_command[li]:
-                    rpm_command[li] = engine._validated_command(i, wanted)
-                decide_pstate = self.decide_pstate_fns[li]
-                if decide_pstate is not None:
-                    wanted_pstate = decide_pstate(observation)
-                    if wanted_pstate is not None:
-                        kernel.set_pstate(
-                            int(li),
-                            engine._validated_pstate(i, int(wanted_pstate)),
-                        )
-            while time_s >= next_poll[li] - POLL_EPS_S:
-                next_poll[li] += controller.poll_interval_s
-        self.next_poll_due = next_poll.min()
+            self.shared.slope[self._sl] = kernel.leakage_slope_w_per_c()
 
     def step(self, tick: int) -> None:  # reprolint: hot
         """One tick over the shard slice: poll, physics, publish, spill."""
@@ -460,15 +402,16 @@ class _ShardWorker:
         sl = self._sl
         shared = self.shared
 
-        if time_s >= self.next_poll_due - POLL_EPS_S:
-            self._poll(time_s)
+        bank = self.bank
+        if bank.due(time_s):
+            bank.poll(time_s, self._junction_view, self._executed_view, kernel)
 
         # a degraded fan bank caps the achievable rotor speed below the
         # controller's command (the command itself is untouched)
         if self.apply_faults and plan.has_fan_faults:
-            actuated_rpm = np.minimum(self.rpm_command, plan.rpm_cap[tick][sl])
+            actuated_rpm = np.minimum(bank.rpm_command, plan.rpm_cap[tick][sl])
         else:
-            actuated_rpm = self.rpm_command
+            actuated_rpm = bank.rpm_command
 
         r = tick - self._chunk_start
         air_capacity, leak_w = kernel.step_into(
@@ -537,9 +480,7 @@ class _ShardWorker:
             f"kernel_{key}": value
             for key, value in self.kernel.state_arrays().items()
         }
-        arrays["rpm_command"] = self.rpm_command.copy()
-        arrays["next_poll"] = self.next_poll.copy()
-        arrays["next_poll_due"] = np.float64(self.next_poll_due)
+        arrays.update(self.bank.state_arrays())
         save_arrays(staging, self._shard_name, arrays)
         channels = None
         if self.plan is not None:
@@ -548,7 +489,7 @@ class _ShardWorker:
             staging,
             self._shard_name,
             {
-                "controllers": self.controllers,
+                "controllers": self.bank.controllers,
                 "sensor_channels": channels,
             },
         )
@@ -587,9 +528,11 @@ class _ShardWorker:
 class _Coordinator:
     """The control plane: supplies, coupling, scheduling, attribution.
 
-    :meth:`begin_tick` mirrors the supply / coupling / scheduling
-    section of the vector loop over the gathered full-width arrays and
-    publishes its outputs (inlet, allocations) for the workers.
+    :meth:`begin_tick` runs the vector loop's supply / coupling /
+    scheduling stage — the shared
+    :class:`~repro.fleet.stages.FleetPlacement` — over the gathered
+    full-width arrays and publishes its outputs (inlet, allocations)
+    for the workers.
     """
 
     def __init__(
@@ -608,13 +551,9 @@ class _Coordinator:
         resume_dir: Optional[str] = None,
         start_tick: int = 0,
     ) -> None:
-        from repro.fleet.scheduler import FleetLoadArrays
-
-        self._load_arrays = FleetLoadArrays
         self.engine = engine
         self.dt_s = dt_s
         self.steps = steps
-        self.plan = plan
         self.shared = shared
         self.inlet_writer = inlet_writer
         self.chunk_ticks = chunk_ticks
@@ -627,50 +566,26 @@ class _Coordinator:
         self.start_tick = int(start_tick)
         self._ckpt_writer: Optional[CheckpointWriter] = None
 
-        fleet = engine.fleet
-        n = fleet.server_count
-        self.n = n
-        self.rack_of = np.asarray(fleet.rack_index_of_server)
-        # the dense coupling matrix is only materialized when the fleet
-        # actually recirculates: with no coupling the offsets are an
-        # exact zero vector and the O(N^2) product (of zeros) is skipped
-        self.coupling = (
-            fleet.recirculation_matrix()
-            if fleet.recirculation is not None
-            else None
-        )
-        self.zero_offsets = np.zeros(n)
-        self.supply_base = fleet.supply_temperatures_c(0.0)
-        self.supply_now = self.supply_base
-        constant_supply = all(rack.crac is None for rack in fleet.racks)
-        times_pre = plan_tick_times(steps, dt_s)[:steps]
-        self.times_pre_list = times_pre.tolist()
-        self.totals_list = (
-            engine.workload.profile.utilization_chunk(times_pre)
-            * engine.workload.server_count
-        ).tolist()
-        self.supply_matrix: Optional[np.ndarray] = None
-        if not constant_supply:
-            supply_models = fleet.supply_models()
-            self.supply_matrix = np.empty((steps, n))
-            for column, model in enumerate(supply_models):
-                self.supply_matrix[:, column] = model.temperature_chunk(
-                    times_pre
-                )
-
-        self.apply_faults = plan is not None
+        n = engine.fleet.server_count
         if resume_dir is None:
             engine.scheduler.reset()
         else:
             engine.scheduler = load_pickle(resume_dir, "coordinator")[
                 "scheduler"
             ]
-        self.policy = engine.scheduler.policy
 
         # coordinator-owned 1-D traces (O(steps), kept in RAM)
         self.trace_unserved = np.empty(steps)
         self.trace_respilled = np.zeros(steps)
         self.trace_fault_unserved = np.zeros(steps)
+        self.placement = FleetPlacement(
+            engine,
+            dt_s,
+            steps,
+            plan,
+            self.trace_respilled,
+            self.trace_fault_unserved,
+        )
         if resume_dir is not None:
             restored = load_arrays(resume_dir, "coordinator")
             t = self.start_tick
@@ -750,86 +665,21 @@ class _Coordinator:
         ):
             self._capture_flush(tick)
 
-        plan = self.plan
         shared = self.shared
-        n = self.n
-        time_s = self.times_pre_list[tick]
-        supply_now = self.supply_now
-        if self.supply_matrix is not None:
-            supply_now = self.supply_matrix[tick]
-        elif self.apply_faults:
-            supply_now = self.supply_base
-        if self.apply_faults and plan.has_excursions:
-            supply_now = supply_now + plan.supply_delta[tick]
-        if self.coupling is None:
-            offsets = self.zero_offsets
-        else:
-            offsets = self.coupling @ shared.exhaust_rise
-        inlet = supply_now + offsets
-        self.supply_now = supply_now
-
-        outage_now = self.apply_faults and plan.outage_any[tick]
-        arrays = self._load_arrays(
-            utilization_pct=shared.executed,
-            max_junction_c=shared.max_junction,
-            inlet_c=inlet,
-            leakage_w=shared.leakage,
-            pstate_index=shared.pstate,
-            rack_index=self.rack_of,
-            leakage_slope_w_per_c=shared.slope,
+        placement = self.placement
+        inlet, _ = placement.inlet(tick, shared.exhaust_rise)
+        decision = placement.assign(
+            tick,
+            FleetLoadArrays(
+                utilization_pct=shared.executed,
+                max_junction_c=shared.max_junction,
+                inlet_c=inlet,
+                leakage_w=shared.leakage,
+                pstate_index=shared.pstate,
+                rack_index=placement.rack_index,
+                leakage_slope_w_per_c=shared.slope,
+            ),
         )
-        order = self.policy.order_indices(arrays)
-        scheduler = self.engine.scheduler
-        if order is not None:
-            if outage_now:
-                # degraded fill plus the all-up counterfactual — both
-                # along the single policy ranking, so the respill/SLA
-                # attribution needs no second ranking
-                out_row = plan.outage[tick]
-                order = np.asarray(order)  # reprolint: disable=R003
-                counterfactual = scheduler.assign_indexed(
-                    order, n, self.totals_list[tick]
-                )
-                decision = scheduler.assign_indexed(
-                    order[~out_row[order]], n, self.totals_list[tick]
-                )
-                self.trace_respilled[tick] = float(
-                    counterfactual.allocations_pct[out_row].sum()
-                )
-                self.trace_fault_unserved[tick] = max(
-                    0.0,
-                    decision.unserved_pct - counterfactual.unserved_pct,
-                )
-            else:
-                decision = scheduler.assign_indexed(
-                    order, n, self.totals_list[tick]
-                )
-        else:
-            # view-based custom policy: full legacy scheduling path
-            views = self.engine._build_views(
-                n,
-                self.rack_of,
-                shared.executed,
-                shared.max_junction,
-                inlet,
-                shared.leakage,
-                arrays.leakage_slope_w_per_c,
-                shared.pstate,
-            )
-            if outage_now:
-                out_row = plan.outage[tick]
-                decision, counterfactual = scheduler.assign_with_spill(
-                    views, self.totals_list[tick], ~out_row
-                )
-                self.trace_respilled[tick] = float(
-                    counterfactual.allocations_pct[out_row].sum()
-                )
-                self.trace_fault_unserved[tick] = max(
-                    0.0,
-                    decision.unserved_pct - counterfactual.unserved_pct,
-                )
-            else:
-                decision = scheduler.assign(views, self.totals_list[tick])
 
         shared.inlet[:] = inlet
         shared.allocations[:] = decision.allocations_pct
@@ -1493,13 +1343,7 @@ def run_sharded(
         reader = FleetTraceReader(trace_dir)
         result = reader.to_result(fleet, materialize=temporary)
         engine.last_run_stats["wall_total_s"] = perf_counter() - wall_t0
-        if engine.metrics is not None:
-            engine.metrics.counter(
-                "repro_fleet_ticks_total", "Fleet engine ticks executed"
-            ).inc(steps)
-            engine.metrics.gauge(
-                "repro_fleet_sim_time_seconds", "Simulated seconds completed"
-            ).set(steps * dt_s)
+        engine._record_run_metrics(steps, dt_s)
         return result
     finally:
         if temporary:

@@ -122,8 +122,8 @@ class WorkloadQueue(FleetWorkload):
         """Offered demand at *time_s*: admit arrivals, sum active rates.
 
         Mutates queue state (admission), so the engine calls it exactly
-        once per tick on every backend — part of the bit-identity
-        contract between the kernel and legacy loops.
+        once per tick on every backend — part of the equivalence
+        contract between the ``vector`` and ``reference`` backends.
         """
         arrivals = self._arrival_s
         count = self._job_count

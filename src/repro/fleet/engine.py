@@ -1,29 +1,34 @@
 """Lock-step multi-server simulation engine.
 
 Steps every server in the fleet through the same tick sequence the
-single-server :class:`~repro.server.server.ServerSimulator` uses, with
-the hot per-step math — fan slew, airflow, the RC thermal substeps,
-and the power decomposition — evaluated as numpy arrays over all
-servers and sockets at once by the
-:class:`~repro.engine.kernel.FleetVectorKernel`.
+single-server :class:`~repro.server.server.ServerSimulator` uses:
+CRAC supply → recirculation inlet → placement ranking → capacity fill
+(with the outage respill) → controller polls → RC physics.  The
+placement and controller-poll stages have one implementation,
+:mod:`repro.fleet.stages`, shared by every backend; the backends
+differ only in who steps the physics.
 
-Four backends are available:
+Three backends are available:
 
-* ``vector`` (default) — the kernelized loop: persistent ``(N, ·)``
-  state arrays feed the placement policy directly
+* ``vector`` (default) — the kernelized loop: the
+  :class:`~repro.engine.kernel.FleetVectorKernel` evaluates fan slew,
+  airflow, the RC thermal substeps and the power decomposition as
+  numpy arrays over all servers and sockets at once, persistent
+  ``(N, ·)`` state arrays feed the placement policy directly
   (:meth:`~repro.fleet.scheduler.PlacementPolicy.order_indices`),
   per-tick inputs (aggregate demand, CRAC supplies) are precomputed
   for the whole horizon, and the physics writes straight into the
   preallocated trace block.  Custom view-based policies transparently
-  fall back to per-tick :class:`ServerLoadView` construction.
-* ``vector-legacy`` — the pre-kernel per-tick loop over the same
-  batched physics (views rebuilt every tick, validated scheduling).
-  Kept as the bit-identical equivalence oracle and the baseline
-  ``benchmarks/bench_kernel.py`` measures the kernel speedup against.
-* ``reference`` — one real :class:`ServerSimulator` per server; the
-  ground truth the vectorized math is tested against and the naive
-  baseline of the scaling benchmark.
-* ``sharded`` — the ``vector`` loop partitioned across per-shard
+  fall back to per-tick
+  :class:`~repro.fleet.scheduler.ServerLoadView` construction.
+* ``reference`` — the same tick loop over one real
+  :class:`ServerSimulator` per server, each deriving its inlet from its
+  own :class:`RecirculationAmbient`; the independent check of the
+  supply, coupling and physics arithmetic the vectorized math is
+  tested against (together with the committed golden traces), the
+  naive baseline of the scaling benchmark, and the backend for fleets
+  with mixed socket counts.
+* ``sharded`` — the ``vector`` stages partitioned across per-shard
   kernels (worker processes over shared memory, or in-process with
   ``shard_mode="inline"``) with trace columns streamed to
   memory-mapped ``.npy`` segments instead of held in RAM; traces are
@@ -47,7 +52,6 @@ noisy-sensor / ``sar``-window emulation for scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
@@ -57,6 +61,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -66,7 +71,7 @@ if TYPE_CHECKING:  # observability taps; annotation-only imports
 
 import numpy as np
 
-from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.base import FanController
 from repro.core.controllers.default import FixedSpeedController
 from repro.engine.checkpoint import (
     CheckpointConfig,
@@ -80,13 +85,7 @@ from repro.engine.checkpoint import (
     require_fingerprint,
     resolve_checkpoint,
 )
-from repro.engine.kernel import (
-    COLD_START_SETTLE_S,
-    POLL_EPS_S,
-    FleetTickState,
-    FleetVectorKernel,
-    plan_tick_times,
-)
+from repro.engine.kernel import FleetVectorKernel, settle_cold
 from repro.fleet.faults import FaultSchedule, FleetFaultPlan
 from repro.fleet.metrics import FleetMetrics, compute_fleet_metrics
 from repro.fleet.scheduler import (
@@ -94,27 +93,36 @@ from repro.fleet.scheduler import (
     FleetScheduler,
     FleetWorkload,
     RoundRobinPolicy,
-    ServerLoadView,
 )
-from repro.fleet.topology import (
-    Fleet,
-    RecirculationAmbient,
-    exhaust_temperature_rise_c,
-)
+from repro.fleet.stages import ControllerBank, FleetPlacement
+from repro.fleet.topology import Fleet, RecirculationAmbient
 from repro.server.power import leakage_slope_w_per_c
 from repro.server.server import ServerSimulator
 from repro.server.thermal import substep_schedule
+from repro.units import airflow_heat_capacity_w_per_k
 from repro.workloads.profile import UtilizationProfile
 
-#: Poll-time comparison slack, seconds (matches the experiment runner).
-_POLL_EPS_S = POLL_EPS_S
-
-#: Cold-start fan settle horizon, seconds (see the execution kernel).
-_COLD_START_SETTLE_S = COLD_START_SETTLE_S
+#: Checkpoint kind of the vector/reference tick loop (the run
+#: fingerprint pins the backend on top of it).
+_CHECKPOINT_KIND = "fleet-vector"
 
 
 class _ReferenceBackend:
-    """One real :class:`ServerSimulator` per server (the naive loop)."""
+    """One real :class:`ServerSimulator` per server: the naive stepper.
+
+    Exposes the per-tick surface of
+    :class:`~repro.engine.kernel.FleetVectorKernel`, so the ``reference``
+    backend runs through the same tick loop as ``vector`` — but every
+    server's physics, DVFS stretch and inlet arithmetic is the scalar
+    simulator's own.  Each simulator derives its inlet from its own
+    :class:`RecirculationAmbient`, fed the loop's recirculation offsets
+    and CRAC excursions (:meth:`set_inlet_terms`), which keeps this
+    backend an independent check of the supply, coupling and physics
+    arithmetic.  Mixed socket counts are fine here.
+    """
+
+    #: No array state: the simulators checkpoint as objects.
+    STATE_KEYS = ()
 
     def __init__(self, fleet: Fleet, seed: int, trip_on_critical: bool):
         self.sims: List[ServerSimulator] = []
@@ -129,7 +137,11 @@ class _ReferenceBackend:
                     trip_on_critical=trip_on_critical,
                 )
             )
-        self.rpm = np.array([sim.fans.mean_rpm for sim in self.sims])
+
+    @property
+    def rpm(self) -> np.ndarray:
+        """Mean rotor speed of every simulator's fan bank, RPM."""
+        return np.array([sim.fans.mean_rpm for sim in self.sims])
 
     def set_pstate(self, server_index: int, pstate_index: int) -> None:
         """Switch one wrapped simulator to *pstate_index*."""
@@ -138,98 +150,114 @@ class _ReferenceBackend:
     def force_cold_state(self, cold_start_rpm: float) -> None:
         """The experiment protocol's pre-``t = 0`` idle settle, per sim."""
         for sim in self.sims:
-            sim.set_fan_rpm(cold_start_rpm)
-            sim.fans.step(dt_s=_COLD_START_SETTLE_S)
-            sim.settle_to_steady_state(utilization_pct=0.0)
-        self.rpm = np.array([sim.fans.mean_rpm for sim in self.sims])
+            settle_cold(sim, cold_start_rpm)
 
-    def _views_data(self):
-        max_junction_c, avg_junction_c, leak_w, slope = [], [], [], []
-        for sim in self.sims:
-            junctions = sim.thermal.state.junction_c
-            max_junction_c.append(max(junctions))
-            avg_junction_c.append(sum(junctions) / len(junctions))
-            leak_w.append(
-                sum(
-                    sim.power_model.socket_leakage_w(sock, t)
-                    for sock, t in zip(sim.spec.sockets, junctions)
-                )
-            )
-            slope.append(
-                sum(
-                    float(
-                        leakage_slope_w_per_c(
-                            sock.leak_k2_w, sock.leak_k3_per_c, t
-                        )
-                    )
-                    for sock, t in zip(sim.spec.sockets, junctions)
-                )
-            )
-        return (
-            np.array(max_junction_c),
-            np.array(avg_junction_c),
-            np.array(leak_w),
-            np.array(slope),
+    def set_inlet_terms(
+        self, offsets_c: np.ndarray, excursions_c: Optional[np.ndarray]
+    ) -> None:
+        """Install this tick's recirculation offsets and CRAC excursions.
+
+        The sims read their inlet as ``(supply + excursion) + offset``,
+        matching the loop's inlet arithmetic term for term.
+        """
+        for i, sim in enumerate(self.sims):
+            sim.ambient.set_offset(float(offsets_c[i]))
+            if excursions_c is not None:
+                sim.ambient.set_excursion(float(excursions_c[i]))
+
+    def _per_server(self, fn) -> np.ndarray:
+        """``fn(sim, socket specs, junction temperatures)`` per server."""
+        return np.array(
+            [
+                fn(sim, sim.spec.sockets, sim.thermal.state.junction_c)
+                for sim in self.sims
+            ]
         )
 
-    def step(
+    def avg_junction_c(self) -> np.ndarray:
+        """Per-server mean junction temperature, °C."""
+        return self._per_server(lambda sim, socks, t_j: sum(t_j) / len(t_j))
+
+    def leakage_slope_w_per_c(self) -> np.ndarray:
+        """Per-server ``dP_leak/dT_j`` summed over sockets, W/°C."""
+        return self._per_server(
+            lambda sim, socks, t_j: sum(
+                float(leakage_slope_w_per_c(k.leak_k2_w, k.leak_k3_per_c, t))
+                for k, t in zip(socks, t_j)
+            )
+        )
+
+    def _leakage_w(self) -> np.ndarray:
+        return self._per_server(
+            lambda sim, socks, t_j: sum(
+                sim.power_model.socket_leakage_w(k, t)
+                for k, t in zip(socks, t_j)
+            )
+        )
+
+    def initial_views_data(self):
+        """(max_j, leakage_w) before the first tick."""
+        return (
+            self._per_server(lambda sim, socks, t_j: max(t_j)),
+            self._leakage_w(),
+        )
+
+    def step_into(
         self,
         dt_s: float,
+        substeps: int,
+        h: float,
         demand_pct: np.ndarray,
         rpm_command: np.ndarray,
         inlet_c: np.ndarray,
-        offsets_c: np.ndarray,
-    ) -> FleetTickState:
-        total, fan, airflow, rpm, dimm = [], [], [], [], []
-        executed, deficit, pstate = [], [], []
+        out_power: np.ndarray,
+        out_fan: np.ndarray,
+        out_junction: np.ndarray,
+        out_util: np.ndarray,
+        out_rpm: np.ndarray,
+        out_pstate: np.ndarray,
+        out_deficit: np.ndarray,
+    ):
+        """Step every simulator one tick and write the trace rows.
+
+        ``substeps``/``h`` and ``inlet_c`` are unused: each simulator
+        plans its own RC substeps and reads its inlet from its ambient.
+        Returns ``(air_capacity_w_per_k, leakage_w)`` like the kernel.
+        """
+        airflow = np.empty(len(self.sims))
         for i, sim in enumerate(self.sims):
-            sim.ambient.set_offset(float(offsets_c[i]))
+            demand = float(demand_pct[i])
             sim.set_fan_rpm(float(rpm_command[i]))
             index = sim.power_model.pstate_index
             # The same per-step deficit term the simulator accumulates
             # internally, surfaced per tick for the fleet traces.
-            deficit.append(
-                sim.spec.dvfs.work_deficit_pct(float(demand_pct[i]), index)
-            )
-            pstate.append(index)
-            state = sim.step(dt_s, float(demand_pct[i]))
-            total.append(state.power.total_w)
-            fan.append(state.power.fan_w)
-            airflow.append(sim.fans.total_airflow_cfm())
-            rpm.append(state.mean_fan_rpm)
-            dimm.append(state.thermal.dimm_bank_c)
-            executed.append(state.utilization_pct)
-        max_junction_c, avg_junction_c, leak_w, slope = self._views_data()
-        self.rpm = np.array(rpm)
-        return FleetTickState(
-            total_power_w=np.array(total),
-            fan_power_w=np.array(fan),
-            airflow_cfm=np.array(airflow),
-            mean_rpm=self.rpm.copy(),
-            max_junction_c=max_junction_c,
-            avg_junction_c=avg_junction_c,
-            leakage_w=leak_w,
-            leakage_slope_w_per_c=slope,
-            dimm_bank_c=np.array(dimm),
-            executed_pct=np.array(executed),
-            work_deficit_pct=np.array(deficit),
-            pstate_index=np.array(pstate, dtype=int),
-        )
+            out_deficit[i] = sim.spec.dvfs.work_deficit_pct(demand, index)
+            out_pstate[i] = index
+            state = sim.step(dt_s, demand)
+            out_power[i] = state.power.total_w
+            out_fan[i] = state.power.fan_w
+            out_rpm[i] = state.mean_fan_rpm
+            out_util[i] = state.utilization_pct
+            out_junction[i] = max(sim.thermal.state.junction_c)
+            airflow[i] = sim.fans.total_airflow_cfm()
+        if np.any(airflow <= 0.0):
+            raise ValueError("airflow must be positive to carry exhaust heat")
+        return airflow_heat_capacity_w_per_k(airflow), self._leakage_w()
 
     def check_critical(self, trip: bool) -> None:
-        """The wrapped simulators trip during :meth:`step` themselves."""
+        """The wrapped simulators trip during :meth:`step_into` themselves."""
 
-    def apply_supply_excursions(self, deltas_c: np.ndarray) -> None:
-        """Install per-server CRAC excursions on the wrapped ambients.
+    def checkpoint_state(self) -> Tuple[Dict[str, np.ndarray], object]:
+        """``(arrays, objects)``: the simulators, pickled whole."""
+        return {}, self.sims
 
-        The sims read their inlet as ``(supply + excursion) + offset``,
-        matching the engine's inlet arithmetic term for term.
-        """
-        for sim, delta in zip(self.sims, deltas_c):
-            sim.ambient.set_excursion(float(delta))
-
-    def initial_views_data(self):
-        return self._views_data()
+    def restore_state(self, arrays, sims: List[ServerSimulator]) -> None:
+        """Swap in checkpointed simulators."""
+        if len(sims) != len(self.sims):
+            raise CheckpointError(
+                "checkpointed simulator count does not match the fleet"
+            )
+        self.sims = list(sims)
 
 
 @dataclass
@@ -334,7 +362,7 @@ class FleetEngine:
         checkpoint: Optional[CheckpointConfig] = None,
         barrier_timeout_s: Optional[float] = None,
     ):
-        if backend not in ("vector", "vector-legacy", "reference", "sharded"):
+        if backend not in ("vector", "reference", "sharded"):
             raise ValueError(f"unknown backend {backend!r}")
         self.fleet = fleet
         if not isinstance(workload, FleetWorkload):
@@ -351,7 +379,7 @@ class FleetEngine:
         if workload.dynamic and backend == "sharded":
             raise ValueError(
                 "dynamic workloads are not supported on the sharded "
-                "backend; use 'vector' or 'vector-legacy'"
+                "backend; use 'vector' or 'reference'"
             )
         if workload.dynamic and checkpoint is not None:
             raise ValueError(
@@ -455,8 +483,8 @@ class FleetEngine:
         self.last_result: Optional[FleetResult] = None
 
     # ------------------------------------------------------------------
-    def _make_backend(self):
-        if self.backend in ("vector", "vector-legacy"):
+    def _make_stepper(self):
+        if self.backend == "vector":
             return FleetVectorKernel(self.fleet, metrics=self.metrics)
         return _ReferenceBackend(self.fleet, self.seed, self.trip_on_critical)
 
@@ -524,7 +552,7 @@ class FleetEngine:
         plan: Optional[FleetFaultPlan],
         trace: Dict[str, np.ndarray],
         state: Dict[str, np.ndarray],
-        extra_pickles: Sequence = (),
+        physics_objects: object = None,
     ):
         """Commit one atomic checkpoint after ``tick`` completed ticks."""
         cfg = self.checkpoint
@@ -539,10 +567,9 @@ class FleetEngine:
                 "sensor_channels": plan.sensor_channels
                 if plan is not None
                 else None,
+                "physics": physics_objects,
             },
         )
-        for name, obj in extra_pickles:
-            writer.pickle(name, obj)
         path = writer.commit(kind, self._run_fingerprint(dt_s, steps, kind))
         prune_checkpoints(cfg.root, cfg.keep)
         self.last_checkpoint_path = path
@@ -558,11 +585,12 @@ class FleetEngine:
         plan: Optional[FleetFaultPlan],
         trace: Dict[str, np.ndarray],
     ):
-        """Restore an in-memory-loop checkpoint; returns (tick, state, dir).
+        """Restore a tick-loop checkpoint; returns (tick, state, objects).
 
         Verifies payload checksums and the run fingerprint, refills the
         trace prefix, and swaps in the pickled controllers, scheduler
-        and stateful fault-sensor channels.
+        and stateful fault-sensor channels.  ``objects`` is the
+        stepper's pickled object state (None for the kernel).
         """
         directory = resolve_checkpoint(resume_from)
         manifest = read_manifest(directory)
@@ -597,22 +625,22 @@ class FleetEngine:
         # until a newer checkpoint commits, the resumed-from one is
         # still the right restart point after another interruption
         self.last_checkpoint_path = directory
-        return tick, state, directory
+        return tick, state, control.get("physics")
 
-    def run(
+    def _prepare_run(
         self,
-        dt_s: float = 1.0,
-        duration_s: Optional[float] = None,
-        resume_from=None,
-    ) -> FleetResult:
-        """Run the whole scenario and return traces plus metrics.
+        dt_s: float,
+        duration_s: Optional[float],
+        resume_from,
+    ) -> Tuple[int, Optional[FleetFaultPlan]]:
+        """The run preamble shared by every backend: ``(steps, plan)``.
 
-        The ``vector`` backend executes the kernelized loop; the
-        ``vector-legacy`` and ``reference`` backends run the pre-kernel
-        per-tick loop (both produce the same traces as ``vector``, the
-        former bit for bit); the ``sharded`` backend partitions the
-        kernelized loop across shard workers with streamed traces
-        (bit-identical to ``vector``, see :mod:`repro.engine.sharded`).
+        Validates the tick grid, resets the workload and the stop /
+        checkpoint flags, and compiles the fault schedule once, on the
+        engine's exact tick grid — every backend sees the same mask
+        arrays, so none can disagree about event timing.  An empty
+        schedule compiles to None: the loop then takes the identical
+        fault-free path a run without a schedule takes.
         """
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
@@ -626,11 +654,6 @@ class FleetEngine:
                 "dynamic workloads cannot resume from a checkpoint"
             )
         self.workload.reset()
-        # Compile the fault schedule once, on the engine's exact tick
-        # grid, and hand the same mask arrays to whichever loop runs —
-        # the backends cannot disagree about event timing.  An empty
-        # schedule compiles to None: the loops take the identical
-        # fault-free path a run without a schedule takes.
         plan = (
             self.faults.compile(self.fleet, steps, dt_s)
             if self.faults is not None
@@ -641,122 +664,85 @@ class FleetEngine:
         self.last_resume_tick = 0
         if resume_from is None:
             self.last_checkpoint_path = None
-        if self.backend == "vector":
-            return self._run_kernel(dt_s, steps, plan, resume_from)
+        return steps, plan
+
+    def run(
+        self,
+        dt_s: float = 1.0,
+        duration_s: Optional[float] = None,
+        resume_from=None,
+    ) -> FleetResult:
+        """Run the whole scenario and return traces plus metrics.
+
+        The ``vector`` and ``reference`` backends drain the tick stream
+        of :meth:`run_stream`; the ``sharded`` backend partitions the
+        same per-tick stages across shard workers with streamed traces
+        (bit-identical to ``vector``, see :mod:`repro.engine.sharded`).
+        """
         if self.backend == "sharded":
             from repro.engine.sharded import run_sharded
 
-            result = run_sharded(self, dt_s, steps, plan, resume_from)
-        else:
-            result = self._run_legacy(dt_s, steps, plan, resume_from)
-        self.last_result = result
-        return result
-
-    # ------------------------------------------------------------------
-    # shared setup / teardown
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _build_views(
-        n, rack_of, executed, max_junction_c, inlet, leak_w, leak_slope, pstate_now
-    ) -> List[ServerLoadView]:
-        """Materialize per-server views for view-based policies.
-
-        Single source for both the legacy loop and the kernel loop's
-        custom-policy fallback, so the two paths cannot drift apart
-        field-wise.
-        """
-        return [
-            ServerLoadView(
-                index=i,
-                rack_index=int(rack_of[i]),
-                utilization_pct=float(executed[i]),
-                max_junction_c=float(max_junction_c[i]),
-                inlet_c=float(inlet[i]),
-                leakage_w=float(leak_w[i]),
-                leakage_slope_w_per_c=float(leak_slope[i]),
-                pstate_index=int(pstate_now[i]),
+            steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
+            self.last_result = run_sharded(
+                self, dt_s, steps, plan, resume_from
             )
-            for i in range(n)
-        ]
+            return self.last_result
+        for _ in self.run_stream(dt_s, duration_s, resume_from):
+            pass
+        assert self.last_result is not None
+        return self.last_result
 
-    def _reset_controllers(self, physics, n: int) -> np.ndarray:
-        self.scheduler.reset()
-        rpm_command = np.empty(n)
-        for i, controller in enumerate(self.controllers):
-            controller.reset()
-            initial = controller.initial_rpm()
-            rpm_command[i] = self._validated_command(
-                i, initial if initial is not None else float(physics.rpm[i])
-            )
-        return rpm_command
-
-    def _build_result(
+    def run_stream(
         self,
-        dt_s,
-        steps,
-        trace_power,
-        trace_fan,
-        trace_junction,
-        trace_util,
-        trace_inlet,
-        trace_rpm,
-        trace_unserved,
-        trace_pstate,
-        trace_deficit,
-        plan: Optional[FleetFaultPlan] = None,
-        trace_respilled: Optional[np.ndarray] = None,
-        trace_fault_unserved: Optional[np.ndarray] = None,
-    ) -> FleetResult:
-        n = self.fleet.server_count
-        fault_active = (
-            plan.fault_active
-            if plan is not None
-            else np.zeros((steps, n), dtype=bool)
-        )
-        if trace_respilled is None:
-            trace_respilled = np.zeros(steps)
-        if trace_fault_unserved is None:
-            trace_fault_unserved = np.zeros(steps)
-        metrics = compute_fleet_metrics(
-            self.fleet,
-            dt_s,
-            trace_power,
-            trace_fan,
-            trace_junction,
-            trace_util,
-            trace_inlet,
-            trace_unserved,
-            work_deficit_pct=trace_deficit,
-            fault_active=fault_active,
-            respilled_pct=trace_respilled,
-            fault_unserved_pct=trace_fault_unserved,
-        )
-        controller_names = {c.name for c in self.controllers}
-        return FleetResult(
-            scheduler_name=self.scheduler.name,
-            controller_name=(
-                controller_names.pop()
-                if len(controller_names) == 1
-                else "mixed"
-            ),
-            backend=self.backend,
-            dt_s=dt_s,
-            times_s=np.arange(1, steps + 1) * dt_s,
-            total_power_w=trace_power,
-            fan_power_w=trace_fan,
-            max_junction_c=trace_junction,
-            utilization_pct=trace_util,
-            inlet_c=trace_inlet,
-            mean_rpm=trace_rpm,
-            unserved_pct=trace_unserved,
-            pstate_index=trace_pstate,
-            work_deficit_pct=trace_deficit,
-            metrics=metrics,
-            fault_active=fault_active,
-            respilled_pct=trace_respilled,
-            fault_unserved_pct=trace_fault_unserved,
-        )
+        dt_s: float = 1.0,
+        duration_s: Optional[float] = None,
+        resume_from=None,
+    ) -> Iterator["FleetTickView"]:
+        """Incrementally run the scenario, yielding one view per tick.
 
+        The tick loop behind :meth:`run` for the ``vector`` and
+        ``reference`` backends (identical traces), with control
+        returned to the caller after every tick — the live telemetry
+        service paces this generator against wall clock.  After
+        exhaustion the full :class:`FleetResult` is available as
+        :attr:`last_result`.
+
+        The yielded arrays are views into the engine's trace block:
+        read them, never write them.
+        """
+        if self.backend == "sharded":
+            raise ValueError(
+                "run_stream requires the 'vector' or 'reference' backend, "
+                f"engine uses {self.backend!r}"
+            )
+        steps, plan = self._prepare_run(dt_s, duration_s, resume_from)
+        trace = self._alloc_traces(steps)
+
+        def stream() -> Iterator[FleetTickView]:
+            for tick, time_s in self._kernel_tick_stream(
+                dt_s, steps, plan, trace, resume_from
+            ):
+                yield FleetTickView(
+                    tick=tick,
+                    time_s=time_s,
+                    total_power_w=trace["power"][tick],
+                    fan_power_w=trace["fan"][tick],
+                    max_junction_c=trace["junction"][tick],
+                    utilization_pct=trace["util"][tick],
+                    inlet_c=trace["inlet"][tick],
+                    mean_rpm=trace["rpm"][tick],
+                    unserved_pct=float(trace["unserved"][tick]),
+                    replayed=tick < self.last_resume_tick,
+                )
+            self.last_result = self._result_from_traces(
+                dt_s, steps, trace, plan
+            )
+
+        return stream()
+
+    # ------------------------------------------------------------------
+    # traces and results
+    # ------------------------------------------------------------------
     def _alloc_traces(self, steps: int) -> Dict[str, np.ndarray]:
         """Preallocate the whole-horizon trace block for one run."""
         n = self.fleet.server_count
@@ -781,21 +767,49 @@ class FleetEngine:
         trace: Dict[str, np.ndarray],
         plan: Optional[FleetFaultPlan],
     ) -> FleetResult:
-        return self._build_result(
+        fault_active = (
+            plan.fault_active
+            if plan is not None
+            else np.zeros((steps, self.fleet.server_count), dtype=bool)
+        )
+        metrics = compute_fleet_metrics(
+            self.fleet,
             dt_s,
-            steps,
             trace["power"],
             trace["fan"],
             trace["junction"],
             trace["util"],
             trace["inlet"],
-            trace["rpm"],
             trace["unserved"],
-            trace["pstate"],
-            trace["deficit"],
-            plan=plan,
-            trace_respilled=trace["respilled"],
-            trace_fault_unserved=trace["fault_unserved"],
+            work_deficit_pct=trace["deficit"],
+            fault_active=fault_active,
+            respilled_pct=trace["respilled"],
+            fault_unserved_pct=trace["fault_unserved"],
+        )
+        controller_names = {c.name for c in self.controllers}
+        return FleetResult(
+            scheduler_name=self.scheduler.name,
+            controller_name=(
+                controller_names.pop()
+                if len(controller_names) == 1
+                else "mixed"
+            ),
+            backend=self.backend,
+            dt_s=dt_s,
+            times_s=np.arange(1, steps + 1) * dt_s,
+            total_power_w=trace["power"],
+            fan_power_w=trace["fan"],
+            max_junction_c=trace["junction"],
+            utilization_pct=trace["util"],
+            inlet_c=trace["inlet"],
+            mean_rpm=trace["rpm"],
+            unserved_pct=trace["unserved"],
+            pstate_index=trace["pstate"],
+            work_deficit_pct=trace["deficit"],
+            metrics=metrics,
+            fault_active=fault_active,
+            respilled_pct=trace["respilled"],
+            fault_unserved_pct=trace["fault_unserved"],
         )
 
     def _capture_flush(
@@ -820,93 +834,8 @@ class FleetEngine:
         )
 
     # ------------------------------------------------------------------
-    # kernelized loop (backend="vector")
+    # the tick loop (backends "vector" and "reference")
     # ------------------------------------------------------------------
-    def _run_kernel(
-        self,
-        dt_s: float,
-        steps: int,
-        plan: Optional[FleetFaultPlan] = None,
-        resume_from=None,
-    ) -> FleetResult:
-        trace = self._alloc_traces(steps)
-        for _ in self._kernel_tick_stream(
-            dt_s, steps, plan, trace, resume_from
-        ):
-            pass
-        result = self._result_from_traces(dt_s, steps, trace, plan)
-        self.last_result = result
-        return result
-
-    def run_stream(
-        self,
-        dt_s: float = 1.0,
-        duration_s: Optional[float] = None,
-        resume_from=None,
-    ) -> Iterator["FleetTickView"]:
-        """Incrementally run the scenario, yielding one view per tick.
-
-        The streaming twin of :meth:`run` for the ``vector`` backend:
-        the identical kernel loop executes underneath (bit-identical
-        traces), but control returns to the caller after every tick —
-        the live telemetry service paces this generator against wall
-        clock.  After exhaustion the full :class:`FleetResult` is
-        available as :attr:`last_result`.
-
-        The yielded arrays are views into the engine's trace block:
-        read them, never write them.
-        """
-        if self.backend != "vector":
-            raise ValueError(
-                "run_stream requires the 'vector' backend, "
-                f"engine uses {self.backend!r}"
-            )
-        if dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        if duration_s is None:
-            duration_s = self.workload.duration_s
-        steps = int(round(duration_s / dt_s))
-        if steps <= 0:
-            raise ValueError("workload too short for the configured dt_s")
-        if self.workload.dynamic and resume_from is not None:
-            raise ValueError(
-                "dynamic workloads cannot resume from a checkpoint"
-            )
-        self.workload.reset()
-        plan = (
-            self.faults.compile(self.fleet, steps, dt_s)
-            if self.faults is not None
-            else None
-        )
-        trace = self._alloc_traces(steps)
-        self._stop_requested = False
-        self._checkpoint_requested = False
-        self.last_resume_tick = 0
-        if resume_from is None:
-            self.last_checkpoint_path = None
-
-        def stream() -> Iterator[FleetTickView]:
-            for tick, time_s in self._kernel_tick_stream(
-                dt_s, steps, plan, trace, resume_from
-            ):
-                yield FleetTickView(
-                    tick=tick,
-                    time_s=time_s,
-                    total_power_w=trace["power"][tick],
-                    fan_power_w=trace["fan"][tick],
-                    max_junction_c=trace["junction"][tick],
-                    utilization_pct=trace["util"][tick],
-                    inlet_c=trace["inlet"][tick],
-                    mean_rpm=trace["rpm"][tick],
-                    unserved_pct=float(trace["unserved"][tick]),
-                    replayed=tick < self.last_resume_tick,
-                )
-            self.last_result = self._result_from_traces(
-                dt_s, steps, trace, plan
-            )
-
-        return stream()
-
     def _kernel_tick_stream(
         self,
         dt_s: float,
@@ -915,16 +844,17 @@ class FleetEngine:
         trace: Dict[str, np.ndarray],
         resume_from=None,
     ) -> Iterator[tuple]:
-        """The kernelized per-tick loop, yielding ``(tick, time_s)``.
+        """The per-tick loop, yielding ``(tick, time_s)``.
 
         Single implementation behind both :meth:`run` (which drains
-        it) and :meth:`run_stream`; the yield sits after the tick's
-        trace rows are final.  ``time_s`` in the yielded pair is the
-        *end-of-tick* timestamp, matching ``FleetResult.times_s``.
+        it) and :meth:`run_stream`, on either stepper; the yield sits
+        after the tick's trace rows are final.  ``time_s`` in the
+        yielded pair is the *end-of-tick* timestamp, matching
+        ``FleetResult.times_s``.
 
         With ``resume_from`` the restored ticks are re-yielded first
         (their trace rows come from the checkpoint), then the loop
-        continues from the checkpointed tick with restored kernel,
+        continues from the checkpointed tick with restored stepper,
         controller, scheduler and fault-channel state — the completed
         trace is bit-identical to an uninterrupted run.
         """
@@ -932,70 +862,49 @@ class FleetEngine:
         start_tick = 0
         restored = None
         if resume_from is not None:
-            start_tick, restored, _ = self._load_run_checkpoint(
-                resume_from, "fleet-vector", dt_s, steps, plan, trace
+            start_tick, restored, physics_objects = self._load_run_checkpoint(
+                resume_from, _CHECKPOINT_KIND, dt_s, steps, plan, trace
             )
-        physics = FleetVectorKernel(self.fleet, metrics=self.metrics)
+        physics = self._make_stepper()
         if restored is not None:
-            physics.load_state_arrays(
-                {
-                    key: restored[f"kernel_{key}"]
-                    for key in FleetVectorKernel.STATE_KEYS
-                }
+            physics.restore_state(
+                {key: restored[f"kernel_{key}"] for key in physics.STATE_KEYS},
+                physics_objects,
             )
         elif self.cold_start:
             physics.force_cold_state(self.cold_start_rpm)
-        rack_of = np.asarray(self.fleet.rack_index_of_server)
-        coupling = self.fleet.recirculation_matrix()
-        supply_models = self.fleet.supply_models()
-        constant_supply = all(rack.crac is None for rack in self.fleet.racks)
-        supply_now = self.fleet.supply_temperatures_c(0.0)
-        supply_base = supply_now
-
+        # the reference stepper derives each inlet itself, from the
+        # loop's offsets and excursions; the kernel takes the inlet
+        feed_inlet_terms = getattr(physics, "set_inlet_terms", None)
+        bank = ControllerBank(self, self.controllers, plan)
+        placement = FleetPlacement(
+            self,
+            dt_s,
+            steps,
+            plan,
+            trace["respilled"],
+            trace["fault_unserved"],
+        )
+        rack_of = placement.rack_index
+        times_list = placement.times
         substeps, h = substep_schedule(dt_s)
-        times_pre = plan_tick_times(steps, dt_s)[:steps]
-        times_pre_list = times_pre.tolist()
-        # Whole-horizon per-tick inputs: aggregate demand (the profile
-        # is evaluated once, elementwise-stable) and, when any rack has
-        # a CRAC model, the per-server supply series.  Dynamic
-        # workloads (queue-backed) cannot be precomputed: their demand
-        # depends on what earlier ticks executed, so the loop asks
-        # them tick by tick — the same call order the legacy loop
-        # uses, keeping the two backends bit-identical.
-        dynamic_demand = self.workload.dynamic
-        totals_list = None
-        if not dynamic_demand:
-            totals_list = (
-                self.workload.profile.utilization_chunk(times_pre)
-                * self.workload.server_count
-            ).tolist()
-        supply_matrix = None
-        if not constant_supply:
-            supply_matrix = np.empty((steps, n))
-            for column, model in enumerate(supply_models):
-                supply_matrix[:, column] = model.temperature_chunk(times_pre)
 
         if restored is not None:
-            rpm_command = restored["rpm_command"].copy()
-            next_poll = restored["next_poll"].copy()
-            next_poll_due = float(restored["next_poll_due"])
+            bank.load_state_arrays(restored)
             executed = restored["executed"].copy()
             pstate_now = restored["pstate_now"].copy()
             exhaust_rise = restored["exhaust_rise"].copy()
             max_junction_c = restored["max_junction"].copy()
             leak_w = restored["leak_w"].copy()
         else:
-            rpm_command = self._reset_controllers(physics, n)
-            next_poll = np.zeros(n)
-            next_poll_due = 0.0
-
+            self.scheduler.reset()
+            bank.reset(physics.rpm)
             executed = np.zeros(n)
             pstate_now = np.zeros(n, dtype=int)
             exhaust_rise = np.zeros(n)
-            max_junction_c, _, leak_w, _ = physics.initial_views_data()
-        # the junction mean feeds only controller observations, and the
-        # leakage slope only leakage-aware rankings / view fallbacks —
-        # both are computed lazily from the pre-step fleet state
+            max_junction_c, leak_w = physics.initial_views_data()
+        # the leakage slope only feeds leakage-aware rankings / view
+        # fallbacks — computed lazily from the pre-step fleet state
         slope_fn = physics.leakage_slope_w_per_c
 
         trace_power = trace["power"]
@@ -1007,16 +916,9 @@ class FleetEngine:
         trace_unserved = trace["unserved"]
         trace_pstate = trace["pstate"]
         trace_deficit = trace["deficit"]
-        trace_respilled = trace["respilled"]
-        trace_fault_unserved = trace["fault_unserved"]
 
-        policy = self.scheduler.policy
-        controllers = self.controllers
-        decide_pstate_fns = [
-            getattr(controller, "decide_pstate", None)
-            for controller in controllers
-        ]
         apply_faults = plan is not None
+        dynamic_demand = self.workload.dynamic
 
         # Observability taps — both None in plain batch runs, in which
         # case the loop body takes the exact pre-existing path.
@@ -1063,141 +965,44 @@ class FleetEngine:
             yield tick, times_rec[tick]
 
         for tick in range(start_tick, steps):
-            time_s = times_pre_list[tick]
-            total_demand = (
-                totals_list[tick]
-                if totals_list is not None
-                else self.workload.total_demand_pct(time_s)
-            )
-            if supply_matrix is not None:
-                supply_now = supply_matrix[tick]
-            elif apply_faults:
-                supply_now = supply_base
-            if apply_faults and plan.has_excursions:
-                supply_now = supply_now + plan.supply_delta[tick]
-            offsets = coupling @ exhaust_rise
-            inlet = supply_now + offsets
+            time_s = times_list[tick]
+            inlet, offsets = placement.inlet(tick, exhaust_rise)
+            if feed_inlet_terms is not None:
+                feed_inlet_terms(
+                    offsets,
+                    plan.supply_delta[tick] if placement.excursions else None,
+                )
 
-            outage_now = apply_faults and plan.outage_any[tick]
             if timers is not None:
                 _t0 = perf_counter()
-            arrays = FleetLoadArrays(
-                utilization_pct=executed,
-                max_junction_c=max_junction_c,
-                inlet_c=inlet,
-                leakage_w=leak_w,
-                pstate_index=pstate_now,
-                rack_index=rack_of,
-                leakage_slope_fn=slope_fn,
+            decision = placement.assign(
+                tick,
+                FleetLoadArrays(
+                    utilization_pct=executed,
+                    max_junction_c=max_junction_c,
+                    inlet_c=inlet,
+                    leakage_w=leak_w,
+                    pstate_index=pstate_now,
+                    rack_index=rack_of,
+                    leakage_slope_fn=slope_fn,
+                ),
             )
-            order = policy.order_indices(arrays)
-            if order is not None:
-                if outage_now:
-                    # degraded fill plus the all-up counterfactual —
-                    # both along the single policy ranking, so the
-                    # respill/SLA attribution needs no second ranking
-                    out_row = plan.outage[tick]
-                    order = np.asarray(order)
-                    counterfactual = self.scheduler.assign_indexed(
-                        order, n, total_demand
-                    )
-                    decision = self.scheduler.assign_indexed(
-                        order[~out_row[order]], n, total_demand
-                    )
-                    trace_respilled[tick] = float(
-                        counterfactual.allocations_pct[out_row].sum()
-                    )
-                    trace_fault_unserved[tick] = max(
-                        0.0,
-                        decision.unserved_pct - counterfactual.unserved_pct,
-                    )
-                else:
-                    decision = self.scheduler.assign_indexed(
-                        order, n, total_demand
-                    )
-            else:
-                # view-based custom policy: full legacy scheduling path
-                views = self._build_views(
-                    n,
-                    rack_of,
-                    executed,
-                    max_junction_c,
-                    inlet,
-                    leak_w,
-                    arrays.leakage_slope_w_per_c,
-                    pstate_now,
-                )
-                if outage_now:
-                    out_row = plan.outage[tick]
-                    decision, counterfactual = self.scheduler.assign_with_spill(
-                        views, total_demand, ~out_row
-                    )
-                    trace_respilled[tick] = float(
-                        counterfactual.allocations_pct[out_row].sum()
-                    )
-                    trace_fault_unserved[tick] = max(
-                        0.0,
-                        decision.unserved_pct - counterfactual.unserved_pct,
-                    )
-                else:
-                    decision = self.scheduler.assign(views, total_demand)
             if timers is not None:
                 timers[0].add(perf_counter() - _t0)
 
-            if time_s >= next_poll_due - _POLL_EPS_S:
+            if bank.due(time_s):
                 if timers is not None:
                     _t0 = perf_counter()
-                avg_junction_c = physics.t_j.mean(axis=1)
-                for i in np.nonzero(time_s >= next_poll - _POLL_EPS_S)[0]:
-                    controller = controllers[i]
-                    max_c = float(max_junction_c[i])
-                    avg_c = float(avg_junction_c[i])
-                    if apply_faults and plan.has_sensor_faults:
-                        max_c, avg_c = plan.transform_observation(
-                            int(i), time_s, max_c, avg_c
-                        )
-                    # A dropped-out channel (NaN reading) makes the BMC
-                    # hold the last fan and p-state commands; the poll
-                    # clock still advances.
-                    if not (isnan(max_c) or isnan(avg_c)):
-                        observation = ControllerObservation(
-                            time_s=time_s,
-                            max_cpu_temperature_c=max_c,
-                            avg_cpu_temperature_c=avg_c,
-                            utilization_pct=float(executed[i]),
-                            current_rpm_command=float(rpm_command[i]),
-                        )
-                        wanted = controller.decide(observation)
-                        if wanted is not None and wanted != rpm_command[i]:
-                            rpm_command[i] = self._validated_command(i, wanted)
-                        # Coordinated controllers additionally command a
-                        # p-state, polled on the same cadence and in the
-                        # same order as the single-server runner.
-                        decide_pstate = decide_pstate_fns[i]
-                        if decide_pstate is not None:
-                            wanted_pstate = decide_pstate(observation)
-                            if wanted_pstate is not None:
-                                physics.set_pstate(
-                                    int(i),
-                                    self._validated_pstate(
-                                        int(i), int(wanted_pstate)
-                                    ),
-                                )
-                    # Advance past the current time: with dt_s larger
-                    # than the poll interval a single increment would
-                    # let the poll clock fall unboundedly behind.
-                    while time_s >= next_poll[i] - _POLL_EPS_S:
-                        next_poll[i] += controller.poll_interval_s
-                next_poll_due = next_poll.min()
+                bank.poll(time_s, max_junction_c, executed, physics)
                 if timers is not None:
                     timers[1].add(perf_counter() - _t0)
 
             # a degraded fan bank caps the achievable rotor speed below
             # the controller's command (the command itself is untouched)
             if apply_faults and plan.has_fan_faults:
-                actuated_rpm = np.minimum(rpm_command, plan.rpm_cap[tick])
+                actuated_rpm = np.minimum(bank.rpm_command, plan.rpm_cap[tick])
             else:
-                actuated_rpm = rpm_command
+                actuated_rpm = bank.rpm_command
 
             if timers is not None:
                 _t0 = perf_counter()
@@ -1252,14 +1057,10 @@ class FleetEngine:
                     or self._stop_requested
                 )
             ):
-                state = {
-                    f"kernel_{key}": value
-                    for key, value in physics.state_arrays().items()
-                }
+                arrays, objects = physics.checkpoint_state()
+                state = {f"kernel_{key}": value for key, value in arrays.items()}
+                state.update(bank.state_arrays())
                 state.update(
-                    rpm_command=rpm_command.copy(),
-                    next_poll=next_poll.copy(),
-                    next_poll_due=np.float64(next_poll_due),
                     executed=np.array(executed),
                     pstate_now=np.array(pstate_now),
                     exhaust_rise=np.array(exhaust_rise),
@@ -1267,7 +1068,14 @@ class FleetEngine:
                     leak_w=np.array(leak_w),
                 )
                 self._write_run_checkpoint(
-                    "fleet-vector", tick + 1, dt_s, steps, plan, trace, state
+                    _CHECKPOINT_KIND,
+                    tick + 1,
+                    dt_s,
+                    steps,
+                    plan,
+                    trace,
+                    state,
+                    objects,
                 )
             if self._stop_requested and tick + 1 < steps:
                 raise RunInterrupted(
@@ -1277,6 +1085,10 @@ class FleetEngine:
 
             yield tick, times_rec[tick]
 
+        self._record_run_metrics(steps, dt_s)
+
+    def _record_run_metrics(self, steps: int, dt_s: float) -> None:
+        """Tick and simulated-time counters of a completed run."""
         if self.metrics is not None:
             self.metrics.counter(
                 "repro_fleet_ticks_total", "Fleet engine ticks executed"
@@ -1284,286 +1096,3 @@ class FleetEngine:
             self.metrics.gauge(
                 "repro_fleet_sim_time_seconds", "Simulated seconds completed"
             ).set(steps * dt_s)
-
-    # ------------------------------------------------------------------
-    # pre-kernel loop (backends "vector-legacy" and "reference")
-    # ------------------------------------------------------------------
-    def _run_legacy(
-        self,
-        dt_s: float,
-        steps: int,
-        plan: Optional[FleetFaultPlan] = None,
-        resume_from=None,
-    ) -> FleetResult:
-        n = self.fleet.server_count
-        trace = self._alloc_traces(steps)
-        start_tick = 0
-        restored = None
-        if resume_from is not None:
-            start_tick, restored, resume_dir = self._load_run_checkpoint(
-                resume_from, "fleet-legacy", dt_s, steps, plan, trace
-            )
-        if restored is not None and self.backend == "reference":
-            physics = load_pickle(resume_dir, "backend")
-        else:
-            physics = self._make_backend()
-            if restored is not None:
-                physics.load_state_arrays(
-                    {
-                        key: restored[f"kernel_{key}"]
-                        for key in FleetVectorKernel.STATE_KEYS
-                    }
-                )
-            elif self.cold_start:
-                physics.force_cold_state(self.cold_start_rpm)
-        rack_of = self.fleet.rack_index_of_server
-        coupling = self.fleet.recirculation_matrix()
-        supply_models = self.fleet.supply_models()
-        constant_supply = all(rack.crac is None for rack in self.fleet.racks)
-        supply_now = self.fleet.supply_temperatures_c(0.0)
-
-        if restored is not None:
-            rpm_command = restored["rpm_command"].copy()
-            next_poll = restored["next_poll"].copy()
-            executed = restored["executed"].copy()
-            pstate_now = restored["pstate_now"].copy()
-            exhaust_rise = restored["exhaust_rise"].copy()
-            max_junction_c = restored["max_junction"].copy()
-            avg_junction_c = restored["avg_junction"].copy()
-            leak_w = restored["leak_w"].copy()
-            leak_slope = restored["leak_slope"].copy()
-        else:
-            rpm_command = self._reset_controllers(physics, n)
-            next_poll = np.zeros(n)
-
-            executed = np.zeros(n)
-            pstate_now = np.zeros(n, dtype=int)
-            exhaust_rise = np.zeros(n)
-            max_junction_c, avg_junction_c, leak_w, leak_slope = physics.initial_views_data()
-
-        trace_power = trace["power"]
-        trace_fan = trace["fan"]
-        trace_junction = trace["junction"]
-        trace_util = trace["util"]
-        trace_inlet = trace["inlet"]
-        trace_rpm = trace["rpm"]
-        trace_unserved = trace["unserved"]
-        trace_pstate = trace["pstate"]
-        trace_deficit = trace["deficit"]
-        trace_respilled = trace["respilled"]
-        trace_fault_unserved = trace["fault_unserved"]
-
-        apply_faults = plan is not None
-        apply_excursions = getattr(physics, "apply_supply_excursions", None)
-        dynamic_demand = self.workload.dynamic
-
-        # Live capture rides the same trace-row seam as the kernel
-        # loop, so captured streams are backend-independent.
-        capture = self.capture
-        times_rec = np.arange(1, steps + 1) * dt_s
-        flush_start = 0
-        capture_rows = {
-            "power": trace_power,
-            "fan": trace_fan,
-            "junction": trace_junction,
-            "util": trace_util,
-            "inlet": trace_inlet,
-            "rpm": trace_rpm,
-            "unserved": trace_unserved,
-        }
-        if capture is not None:
-            capture.bind(n)
-            # replay the restored prefix in the original flush slices
-            # (see the kernel loop)
-            while flush_start + capture.chunk_ticks <= start_tick:
-                sl = slice(flush_start, flush_start + capture.chunk_ticks)
-                capture.flush(
-                    times_rec[sl],
-                    {k: v[sl] for k, v in capture_rows.items() if v.ndim == 2},
-                    unserved_pct=trace_unserved[sl],
-                )
-                flush_start += capture.chunk_ticks
-
-        ckpt_cfg = self.checkpoint
-        ckpt_every = ckpt_cfg.every_ticks(dt_s) if ckpt_cfg is not None else 0
-
-        time_s = float(restored["time_s"]) if restored is not None else 0.0
-        for tick in range(start_tick, steps):
-            if not constant_supply:
-                supply_now = np.array(
-                    [m.temperature_c(time_s) for m in supply_models]
-                )
-            if apply_faults and plan.has_excursions:
-                # same term order as the kernel loop (and as
-                # RecirculationAmbient): (supply + excursion) + offset
-                inlet_supply = supply_now + plan.supply_delta[tick]
-                if apply_excursions is not None:
-                    apply_excursions(plan.supply_delta[tick])
-            else:
-                inlet_supply = supply_now
-            offsets = coupling @ exhaust_rise
-            inlet = inlet_supply + offsets
-
-            views = self._build_views(
-                n,
-                rack_of,
-                executed,
-                max_junction_c,
-                inlet,
-                leak_w,
-                leak_slope,
-                pstate_now,
-            )
-            if apply_faults and plan.outage_any[tick]:
-                out_row = plan.outage[tick]
-                decision, counterfactual = self.scheduler.assign_with_spill(
-                    views, self.workload.total_demand_pct(time_s), ~out_row
-                )
-                trace_respilled[tick] = float(
-                    counterfactual.allocations_pct[out_row].sum()
-                )
-                trace_fault_unserved[tick] = max(
-                    0.0, decision.unserved_pct - counterfactual.unserved_pct
-                )
-            else:
-                decision = self.scheduler.assign(
-                    views, self.workload.total_demand_pct(time_s)
-                )
-
-            for i in np.nonzero(time_s >= next_poll - _POLL_EPS_S)[0]:
-                controller = self.controllers[i]
-                max_c = float(max_junction_c[i])
-                avg_c = float(avg_junction_c[i])
-                if apply_faults and plan.has_sensor_faults:
-                    max_c, avg_c = plan.transform_observation(
-                        int(i), time_s, max_c, avg_c
-                    )
-                # A dropped-out channel (NaN reading) makes the BMC
-                # hold the last fan and p-state commands; the poll
-                # clock still advances.
-                if not (isnan(max_c) or isnan(avg_c)):
-                    observation = ControllerObservation(
-                        time_s=time_s,
-                        max_cpu_temperature_c=max_c,
-                        avg_cpu_temperature_c=avg_c,
-                        utilization_pct=float(executed[i]),
-                        current_rpm_command=float(rpm_command[i]),
-                    )
-                    wanted = controller.decide(observation)
-                    if wanted is not None and wanted != rpm_command[i]:
-                        rpm_command[i] = self._validated_command(i, wanted)
-                    # Coordinated controllers additionally command a
-                    # p-state, polled on the same cadence and in the same
-                    # order as the single-server runner.
-                    decide_pstate = getattr(controller, "decide_pstate", None)
-                    if decide_pstate is not None:
-                        wanted_pstate = decide_pstate(observation)
-                        if wanted_pstate is not None:
-                            physics.set_pstate(
-                                int(i),
-                                self._validated_pstate(
-                                    int(i), int(wanted_pstate)
-                                ),
-                            )
-                # Advance past the current time: with dt_s larger than
-                # the poll interval a single increment would let the
-                # poll clock fall unboundedly behind the simulation.
-                while time_s >= next_poll[i] - _POLL_EPS_S:
-                    next_poll[i] += controller.poll_interval_s
-
-            # degraded fan banks cap the achievable speed (see the
-            # kernel loop)
-            if apply_faults and plan.has_fan_faults:
-                actuated_rpm = np.minimum(rpm_command, plan.rpm_cap[tick])
-            else:
-                actuated_rpm = rpm_command
-
-            demand = decision.allocations_pct
-            state = physics.step(dt_s, demand, actuated_rpm, inlet, offsets)
-            physics.check_critical(self.trip_on_critical)
-
-            max_junction_c = state.max_junction_c
-            avg_junction_c = state.avg_junction_c
-            leak_w = state.leakage_w
-            leak_slope = state.leakage_slope_w_per_c
-            executed = state.executed_pct
-            pstate_now = state.pstate_index
-            exhaust_rise = exhaust_temperature_rise_c(
-                state.total_power_w, state.airflow_cfm
-            )
-
-            trace_power[tick] = state.total_power_w
-            trace_fan[tick] = state.fan_power_w
-            trace_junction[tick] = state.max_junction_c
-            trace_util[tick] = executed
-            trace_inlet[tick] = inlet
-            trace_rpm[tick] = state.mean_rpm
-            trace_unserved[tick] = decision.unserved_pct
-            trace_pstate[tick] = state.pstate_index
-            trace_deficit[tick] = state.work_deficit_pct
-            if dynamic_demand:
-                self.workload.record_executed(
-                    time_s, float(executed.sum()), dt_s
-                )
-            time_s += dt_s
-
-            if capture is not None and (
-                tick + 1 - flush_start >= capture.chunk_ticks
-                or tick + 1 == steps
-            ):
-                sl = slice(flush_start, tick + 1)
-                capture.flush(
-                    times_rec[sl],
-                    {k: v[sl] for k, v in capture_rows.items() if v.ndim == 2},
-                    unserved_pct=trace_unserved[sl],
-                )
-                flush_start = tick + 1
-
-            if (
-                ckpt_cfg is not None
-                and tick + 1 < steps
-                and (
-                    (tick + 1) % ckpt_every == 0
-                    or self._checkpoint_requested
-                    or self._stop_requested
-                )
-            ):
-                state = {
-                    "rpm_command": rpm_command.copy(),
-                    "next_poll": next_poll.copy(),
-                    "executed": np.array(executed),
-                    "pstate_now": np.array(pstate_now),
-                    "exhaust_rise": np.array(exhaust_rise),
-                    "max_junction": np.array(max_junction_c),
-                    "avg_junction": np.array(avg_junction_c),
-                    "leak_w": np.array(leak_w),
-                    "leak_slope": np.array(leak_slope),
-                    "time_s": np.float64(time_s),
-                }
-                extra_pickles = []
-                if self.backend == "reference":
-                    extra_pickles.append(("backend", physics))
-                else:
-                    state.update(
-                        {
-                            f"kernel_{key}": value
-                            for key, value in physics.state_arrays().items()
-                        }
-                    )
-                self._write_run_checkpoint(
-                    "fleet-legacy",
-                    tick + 1,
-                    dt_s,
-                    steps,
-                    plan,
-                    trace,
-                    state,
-                    extra_pickles,
-                )
-            if self._stop_requested and tick + 1 < steps:
-                raise RunInterrupted(
-                    f"fleet run stopped at tick {tick + 1}/{steps}",
-                    self.last_checkpoint_path,
-                )
-
-        return self._result_from_traces(dt_s, steps, trace, plan)

@@ -6,9 +6,11 @@ precisely when conditions degrade, and its prognostics reference
 failing sensors and components from telemetry.  This module brings
 those failure modes to fleet scale as *declarative, time-windowed
 events* that the :class:`~repro.fleet.engine.FleetEngine` injects into
-every backend — the kernelized ``vector`` loop, the ``vector-legacy``
-equivalence oracle, and the per-simulator ``reference`` loop — without
-breaking the bit-identical vector/legacy trace contract:
+every backend — the kernelized ``vector`` loop, the per-simulator
+``reference`` loop that shares its tick loop, and the ``sharded``
+backend that shares its placement and poll stages — without breaking
+the golden traces or the vector/reference/sharded equivalence
+contracts:
 
 * :class:`SensorFaultEvent` — one server's CSTH thermal channel lies
   to its controller, reusing the five single-server

@@ -158,7 +158,7 @@ class TestCheckpointContainer:
 # differential resume, per backend
 # ----------------------------------------------------------------------
 class TestFleetResume:
-    @pytest.mark.parametrize("backend", ["vector", "vector-legacy"])
+    @pytest.mark.parametrize("backend", ["vector", "reference"])
     @pytest.mark.parametrize("with_faults", [False, True])
     def test_resume_bit_identical(self, tmp_path, backend, with_faults):
         faults = make_faults() if with_faults else None
@@ -223,6 +223,21 @@ class TestFleetResume:
             resume_from=err.value.checkpoint_path,
         )
         assert_identical(golden, resumed)
+
+    def test_retired_legacy_kind_refused(self, tmp_path):
+        """A checkpoint of the retired pre-kernel loop (kind
+        ``fleet-legacy``, written by the old ``reference`` backend) is
+        refused by kind even when its fingerprint otherwise matches —
+        never resumed into the current tick loop."""
+        engine = make_engine("reference")
+        writer = CheckpointWriter(tmp_path, 40)
+        writer.arrays("state", {"time_s": np.float64(80.0)})
+        path = writer.commit(
+            "fleet-legacy",
+            engine._run_fingerprint(DT_S, STEPS, "fleet-legacy"),
+        )
+        with pytest.raises(CheckpointError, match="'fleet-legacy' checkpoint"):
+            engine.run(dt_s=DT_S, duration_s=DURATION_S, resume_from=path)
 
     def test_wrong_fingerprint_refused(self, tmp_path):
         cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0)

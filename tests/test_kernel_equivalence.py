@@ -1,17 +1,23 @@
-"""Bit-identity contract of the chunked execution kernels.
+"""Equivalence contract of the chunked execution kernels.
 
-The kernelized paths (``run_experiment(engine="kernel")`` and
-``FleetEngine(backend="vector")``) must reproduce the preserved
-pre-kernel implementations (``engine="reference"``,
-``backend="vector-legacy"``) column for column, bit for bit — chunked
-integration, preallocated traces, batched noise and array-based
-scheduling are pure execution-plan changes, not model changes.
+The single-server kernel (``run_experiment(engine="kernel")``) must
+reproduce the preserved tick-by-tick loop (``engine="reference"``)
+column for column, bit for bit.  The fleet kernel
+(``FleetEngine(backend="vector")``) is checked against the
+``reference`` backend — the same tick loop over one real simulator
+per server — exactly on the integer, utilization, fan-speed and
+demand columns and to float round-off on the rest (the committed
+golden traces pin its bits).  Its step caches and array-based
+scheduling are checked bit for bit against their uncached / view-based
+counterparts directly.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controllers.bangbang import BangBangController
 from repro.core.controllers.base import FanController
@@ -24,13 +30,16 @@ from repro.experiments.runner import (
     TRACE_COLUMNS,
     run_experiment,
 )
+from repro.engine.kernel import FleetVectorKernel
 from repro.fleet import (
+    FaultSchedule,
     Fleet,
     FleetEngine,
     FleetScheduler,
     FleetLoadArrays,
     PlacementPolicy,
     Rack,
+    ServerOutageEvent,
     build_recirculation_matrix,
     build_uniform_fleet,
 )
@@ -38,6 +47,7 @@ from repro.fleet.scheduler import (
     PLACEMENT_POLICIES,
     ServerLoadView,
 )
+from repro.fleet.stages import FleetPlacement
 from repro.server.ambient import SinusoidalAmbient
 from repro.server.dvfs import default_dvfs_ladder
 from repro.server.faults import (
@@ -49,26 +59,14 @@ from repro.server.faults import (
 )
 from repro.server.specs import default_server_spec
 from repro.workloads.loadgen import monitor_warmup_times
+from repro.server.thermal import substep_schedule
 from repro.workloads.profile import (
+    ConstantProfile,
     RampProfile,
     RandomStepProfile,
     SquareWaveProfile,
     StaircaseProfile,
 )
-
-FLEET_TRACES = (
-    "times_s",
-    "total_power_w",
-    "fan_power_w",
-    "max_junction_c",
-    "utilization_pct",
-    "inlet_c",
-    "mean_rpm",
-    "unserved_pct",
-    "pstate_index",
-    "work_deficit_pct",
-)
-
 
 def assert_experiments_identical(controller_fn, profile, config, **kwargs):
     kernel = run_experiment(
@@ -85,14 +83,40 @@ def assert_experiments_identical(controller_fn, profile, config, **kwargs):
         )
 
 
-def assert_fleet_identical(make_engine, dt_s):
+#: Fleet columns the kernel and the reference simulators agree on
+#: exactly; the rest carry float round-off (numpy vs scalar folds).
+EXACT_FLEET_TRACES = (
+    "times_s",
+    "utilization_pct",
+    "mean_rpm",
+    "unserved_pct",
+    "pstate_index",
+    "work_deficit_pct",
+)
+FLEET_TRACE_ATOL = {
+    "total_power_w": 1e-6,
+    "fan_power_w": 1e-9,
+    "max_junction_c": 1e-7,
+    "inlet_c": 1e-9,
+}
+
+
+def assert_fleet_matches_reference(make_engine, dt_s):
     kernel = make_engine("vector").run(dt_s=dt_s)
-    legacy = make_engine("vector-legacy").run(dt_s=dt_s)
-    for name in FLEET_TRACES:
+    reference = make_engine("reference").run(dt_s=dt_s)
+    for name in EXACT_FLEET_TRACES:
         np.testing.assert_array_equal(
             getattr(kernel, name),
-            getattr(legacy, name),
-            err_msg=f"fleet trace {name!r} diverged from the legacy loop",
+            getattr(reference, name),
+            err_msg=f"fleet trace {name!r} diverged from the reference",
+        )
+    for name, atol in FLEET_TRACE_ATOL.items():
+        np.testing.assert_allclose(
+            getattr(kernel, name),
+            getattr(reference, name),
+            rtol=0,
+            atol=atol,
+            err_msg=f"fleet trace {name!r} diverged from the reference",
         )
 
 
@@ -273,13 +297,13 @@ class TestChunkedEqualsTickByTickProperty:
 
 
 class TestFleetKernelAnchors:
-    """The kernelized fleet loop equals the legacy loop bit for bit."""
+    """The fleet kernel agrees with the per-simulator reference."""
 
     @pytest.mark.parametrize("policy_name", sorted(PLACEMENT_POLICIES))
     def test_every_builtin_policy(self, policy_name):
         fleet = build_uniform_fleet(rack_count=2, servers_per_rack=3)
         profile = StaircaseProfile([20.0, 80.0, 50.0], 120.0)
-        assert_fleet_identical(
+        assert_fleet_matches_reference(
             lambda backend: FleetEngine(
                 fleet,
                 profile,
@@ -293,7 +317,7 @@ class TestFleetKernelAnchors:
     def test_coordinated_dvfs_with_recirculation(self, paper_lut, dvfs_spec):
         spec = dvfs_spec
         fleet = build_uniform_fleet(rack_count=2, servers_per_rack=4, spec=spec)
-        assert_fleet_identical(
+        assert_fleet_matches_reference(
             lambda backend: FleetEngine(
                 fleet,
                 StaircaseProfile([15.0, 60.0, 35.0], 120.0),
@@ -322,7 +346,7 @@ class TestFleetKernelAnchors:
                 [2, 2], intra_rack_coupling=0.08, cross_rack_coupling=0.01
             ),
         )
-        assert_fleet_identical(
+        assert_fleet_matches_reference(
             lambda backend: FleetEngine(
                 fleet,
                 StaircaseProfile([30.0, 80.0], 300.0),
@@ -334,7 +358,7 @@ class TestFleetKernelAnchors:
 
     def test_capped_capacity_partial_fills(self):
         fleet = build_uniform_fleet(rack_count=1, servers_per_rack=3)
-        assert_fleet_identical(
+        assert_fleet_matches_reference(
             lambda backend: FleetEngine(
                 fleet,
                 StaircaseProfile([90.0, 40.0], 120.0),
@@ -348,7 +372,7 @@ class TestFleetKernelAnchors:
 
     def test_custom_view_policy_falls_back_and_matches(self):
         """A policy without order_indices rides the view-building
-        fallback inside the kernel loop and still matches legacy."""
+        fallback inside the tick loop and still matches the reference."""
 
         class HottestFirst(PlacementPolicy):
             name = "hottest-first"
@@ -358,7 +382,7 @@ class TestFleetKernelAnchors:
                 return [views[i].index for i in np.argsort(-temps, kind="stable")]
 
         fleet = build_uniform_fleet(rack_count=1, servers_per_rack=4)
-        assert_fleet_identical(
+        assert_fleet_matches_reference(
             lambda backend: FleetEngine(
                 fleet,
                 StaircaseProfile([30.0, 70.0], 120.0),
@@ -445,6 +469,74 @@ class TestSchedulerFastPath:
                 pytest.approx(total)
             )
 
+    def _placement(self, policy, arrays, demand_pct, cap, down):
+        """The shared placement stage on one tick with ``down`` servers
+        out: (decision, unserved, respilled, fault-unserved) of the
+        outage tick, then the all-up (counterfactual) decision."""
+        n = len(arrays.utilization_pct)
+        fleet = build_uniform_fleet(rack_count=1, servers_per_rack=n)
+        schedule = FaultSchedule(
+            events=tuple(ServerOutageEvent(server=int(i)) for i in down)
+        )
+        outcome = []
+        for faults in (schedule, None):
+            engine = FleetEngine(
+                fleet,
+                ConstantProfile(demand_pct, 1.0),
+                scheduler=FleetScheduler(policy, server_cap_pct=cap),
+                faults=faults,
+            )
+            plan = faults.compile(fleet, 1, 1.0) if faults else None
+            respilled, fault_unserved = np.zeros(1), np.zeros(1)
+            decision = FleetPlacement(
+                engine, 1.0, 1, plan, respilled, fault_unserved
+            ).assign(0, arrays)
+            outcome.append(
+                (
+                    decision.allocations_pct,
+                    decision.unserved_pct,
+                    respilled[0],
+                    fault_unserved[0],
+                )
+            )
+        return outcome
+
+    @pytest.mark.parametrize("policy_name", sorted(PLACEMENT_POLICIES))
+    def test_outage_respill_matches_view_path(self, policy_name):
+        """The indexed degraded fill + counterfactual equals the view
+        path's ``assign_with_spill`` on random fleets and outage masks:
+        the same placement stage, once with the policy's array ranking
+        and once with a view-only wrapper of the same policy."""
+
+        class ViewOnly(PlacementPolicy):
+            def __init__(self, inner):
+                self.inner = inner
+                self.name = inner.name
+
+            def order(self, views):
+                return self.inner.order(views)
+
+        rng = np.random.default_rng(23)
+        for n in (1, 3, 17):
+            array_policy = PLACEMENT_POLICIES[policy_name]()
+            view_policy = ViewOnly(PLACEMENT_POLICIES[policy_name]())
+            for _ in range(8):
+                arrays = self._random_arrays(rng, n)
+                # demand up to the full fleet, caps down to 60%: partial
+                # fills and unserved remainders both occur
+                demand = float(rng.uniform(0.0, 100.0))
+                cap = float(rng.choice([100.0, 60.0, 73.3]))
+                down = np.nonzero(rng.random(n) < 0.4)[0]
+                if not down.size:
+                    down = rng.integers(0, n, 1)
+                fast = self._placement(array_policy, arrays, demand, cap, down)
+                slow = self._placement(view_policy, arrays, demand, cap, down)
+                for (a_alloc, *a_rest), (b_alloc, *b_rest) in zip(fast, slow):
+                    np.testing.assert_array_equal(a_alloc, b_alloc)
+                    assert a_rest == b_rest
+                # outage servers execute nothing on the degraded fill
+                assert not fast[0][0][down].any()
+
     def test_lazy_slope_requires_provider(self):
         with pytest.raises(ValueError, match="leakage_slope"):
             FleetLoadArrays(
@@ -455,6 +547,54 @@ class TestSchedulerFastPath:
                 pstate_index=np.zeros(2, dtype=int),
                 rack_index=np.zeros(2, dtype=int),
             )
+
+
+class TestFleetKernelCaches:
+    """``step_into``'s caches (rotor-speed-derived terms, static power,
+    trivial DVFS stretch) are bit-identical to recomputing them: a
+    kernel round-tripped through its checkpoint state before every
+    step — which drops every cache — writes the same rows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_cache_free_kernel_writes_identical_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = replace(default_server_spec(), dvfs=default_dvfs_ladder())
+        fleet = build_uniform_fleet(rack_count=2, servers_per_rack=3, spec=spec)
+        n = fleet.server_count
+        cached = FleetVectorKernel(fleet)
+        uncached = FleetVectorKernel(fleet)
+        dt_s = float(rng.choice([0.5, 1.0, 2.0, 5.0]))
+        substeps, h = substep_schedule(dt_s)
+        rpm_command = rng.uniform(spec.fan.rpm_min, spec.fan.rpm_max, n)
+        demand = rng.uniform(0.0, 100.0, n)
+        inlet = rng.uniform(18.0, 30.0, n)
+        for _ in range(40):
+            # hold each input for a while so the caches get hit
+            if rng.random() < 0.2:
+                rpm_command = rng.uniform(
+                    spec.fan.rpm_min, spec.fan.rpm_max, n
+                )
+            if rng.random() < 0.3:
+                demand = rng.uniform(0.0, 100.0, n)
+            if rng.random() < 0.3:
+                inlet = rng.uniform(18.0, 30.0, n)
+            if rng.random() < 0.25:
+                server = int(rng.integers(0, n))
+                pstate = int(rng.integers(0, len(spec.dvfs)))
+                cached.set_pstate(server, pstate)
+                uncached.set_pstate(server, pstate)
+            uncached.load_state_arrays(uncached.state_arrays())
+            rows = []
+            for kernel in (cached, uncached):
+                out = [np.empty(n) for _ in range(7)]
+                out[5] = np.empty(n, dtype=int)
+                capacity, leakage = kernel.step_into(
+                    dt_s, substeps, h, demand, rpm_command, inlet, *out
+                )
+                rows.append(out + [capacity, leakage])
+            for a, b in zip(*rows):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestBatchedPrimitives:

@@ -97,18 +97,29 @@ class TestBitIdentity:
             np.testing.assert_array_equal(to, tb, err_msg=name)
             np.testing.assert_array_equal(vo, vb, err_msg=name)
 
-    def test_legacy_backend_capture_matches_vector(self):
+    def test_reference_backend_capture_matches_vector(self):
+        """The capture seam is backend-independent: the reference
+        stream matches the vector one exactly on utilization, fan speed
+        and demand, and to float round-off on the physics channels."""
         stores = {}
-        for backend in ("vector", "vector-legacy"):
+        for backend in ("vector", "reference"):
             store = TimeseriesStore()
             make_engine(
                 backend=backend, capture=FleetCapture(store=store)
             ).run(dt_s=DT)
             stores[backend] = store
-        for name in stores["vector"].channel_names():
-            _, vv = stores["vector"].channel(name).series()
-            _, vl = stores["vector-legacy"].channel(name).series()
-            np.testing.assert_array_equal(vv, vl, err_msg=name)
+        names = stores["vector"].channel_names()
+        assert sorted(names) == sorted(stores["reference"].channel_names())
+        for name in names:
+            tv, vv = stores["vector"].channel(name).series()
+            tr, vr = stores["reference"].channel(name).series()
+            np.testing.assert_array_equal(tv, tr, err_msg=name)
+            if name.endswith(("util_pct", "rpm", "unserved_pct")):
+                np.testing.assert_array_equal(vv, vr, err_msg=name)
+            else:
+                np.testing.assert_allclose(
+                    vv, vr, rtol=0, atol=1e-6, err_msg=name
+                )
 
 
 class TestRunStream:
@@ -139,9 +150,21 @@ class TestRunStream:
         )
 
     def test_stream_requires_vector_backend(self):
-        engine = make_engine(backend="vector-legacy")
+        engine = FleetEngine(
+            build_uniform_fleet(rack_count=1, servers_per_rack=2),
+            StaircaseProfile([30.0], 60.0),
+            backend="sharded",
+            shard_mode="inline",
+        )
         with pytest.raises(ValueError, match="vector"):
             next(engine.run_stream(dt_s=DT))
+
+    def test_reference_stream_matches_reference_run(self):
+        baseline = make_engine(backend="reference").run(dt_s=DT)
+        engine = make_engine(backend="reference")
+        views = list(engine.run_stream(dt_s=DT))
+        assert len(views) == baseline.times_s.shape[0]
+        assert_results_identical(engine.last_result, baseline)
 
 
 class TestCaptureValidation:

@@ -8,8 +8,10 @@ schedule:
 * every physical trace stays finite (dropouts corrupt *observations*,
   never power or temperature),
 * outage servers execute exactly zero utilization while down,
-* the kernelized ``vector`` loop stays bit-identical to the
-  ``vector-legacy`` oracle,
+* the kernelized ``vector`` backend agrees with the per-simulator
+  ``reference`` backend (exactly on utilization, p-state, deficit and
+  the fault/demand bookkeeping; to float round-off on fan speed,
+  power, junction and inlet temperatures),
 * an empty schedule is bit-identical to a run without one.
 """
 
@@ -145,10 +147,12 @@ class TestRandomSchedules:
 
     @given(schedule=schedules)
     @settings(max_examples=10, deadline=None)
-    def test_vector_bit_identical_to_legacy(self, schedule):
+    def test_vector_matches_reference(self, schedule):
         vector = run_fleet("vector", schedule)
-        legacy = run_fleet("vector-legacy", schedule)
-        for name in PHYSICAL_TRACES + (
+        reference = run_fleet("reference", schedule)
+        for name in (
+            "utilization_pct",
+            "work_deficit_pct",
             "unserved_pct",
             "pstate_index",
             "fault_active",
@@ -157,14 +161,30 @@ class TestRandomSchedules:
         ):
             np.testing.assert_array_equal(
                 getattr(vector, name),
-                getattr(legacy, name),
+                getattr(reference, name),
+                err_msg=f"{name!r} diverged under {schedule!r}",
+            )
+        # the reference reports the fan-bank mean (a sum over the fans
+        # divided by their count), 1 ulp off a non-representable command
+        for name, atol in (
+            ("mean_rpm", 1e-9),
+            ("total_power_w", 1e-6),
+            ("fan_power_w", 1e-9),
+            ("max_junction_c", 1e-7),
+            ("inlet_c", 1e-9),
+        ):
+            np.testing.assert_allclose(
+                getattr(vector, name),
+                getattr(reference, name),
+                rtol=0,
+                atol=atol,
                 err_msg=f"{name!r} diverged under {schedule!r}",
             )
 
 
 class TestEmptySchedule:
     def test_empty_equals_no_schedule_on_both_backends(self):
-        for backend in ("vector", "vector-legacy"):
+        for backend in ("vector", "reference"):
             plain = run_fleet(backend, None)
             empty = run_fleet(backend, FaultSchedule())
             for name in PHYSICAL_TRACES:
