@@ -12,11 +12,14 @@ Two claims are pinned here:
   allocation-free; the queue-driven run must stay within a small
   multiple of the precomputed-profile run.
 
-Numbers are persisted to ``benchmarks/results/``.
+Each figure is the median of ``REPEATS`` timed runs, the two sides of
+a comparison interleaved so load drift hits both alike.  Numbers are
+persisted to ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from bench_helpers import write_artifact, write_bench_json
@@ -44,6 +47,9 @@ COMPOSE_CEILING = 2.0
 #: precomputed-profile fast path.
 QUEUE_CEILING = 5.0
 
+#: Timed runs per side of each comparison.
+REPEATS = 5
+
 
 def _fleet():
     return build_uniform_fleet(rack_count=2, servers_per_rack=8)
@@ -63,8 +69,9 @@ def _time(fn) -> float:
     return time.perf_counter() - start
 
 
-def _best_of(runs: int, fn) -> float:
-    return min(_time(fn) for _ in range(runs))
+def _interleaved_runs(first, second) -> tuple:
+    """Walls of *first* and of *second* over ``REPEATS`` alternating runs."""
+    return tuple(zip(*[(_time(first), _time(second)) for _ in range(REPEATS)]))
 
 
 def test_facility_composition_overhead(results_dir):
@@ -84,8 +91,9 @@ def test_facility_composition_overhead(results_dir):
         ).run(dt_s=TICK_S)
 
     bare()  # warm caches before timing
-    t_bare = _best_of(3, bare)
-    t_comp = _best_of(3, composed)
+    bare_runs, comp_runs = _interleaved_runs(bare, composed)
+    t_bare = statistics.median(bare_runs)
+    t_comp = statistics.median(comp_runs)
     write_artifact(
         results_dir,
         "facility_compose_overhead.txt",
@@ -99,8 +107,11 @@ def test_facility_composition_overhead(results_dir):
         {
             "horizon_s": HORIZON_S,
             "dt_s": TICK_S,
+            "repeats": REPEATS,
             "bare_wall_s": t_bare,
+            "bare_wall_s_runs": list(bare_runs),
             "composed_wall_s": t_comp,
+            "composed_wall_s_runs": list(comp_runs),
             "compose_overhead_x": t_comp / t_bare,
         },
     )
@@ -129,8 +140,9 @@ def test_queue_workload_overhead(results_dir):
         _engine(fleet, queue).run(dt_s=TICK_S)
 
     precomputed()  # warm caches before timing
-    t_pre = _best_of(3, precomputed)
-    t_queue = _best_of(3, queued)
+    t_pre, t_queue = map(
+        statistics.median, _interleaved_runs(precomputed, queued)
+    )
     write_artifact(
         results_dir,
         "facility_queue_overhead.txt",

@@ -221,7 +221,7 @@ def _subfleet(fleet: Any, lo: int, hi: int) -> Any:
             racks.append(
                 Rack(
                     name=rack.name,
-                    servers=list(rack.servers[a - base : b - base]),
+                    servers=tuple(rack.servers[a - base : b - base]),
                     crac_supply_c=rack.crac_supply_c,
                     crac=rack.crac,
                 )
@@ -565,6 +565,10 @@ class _Coordinator:
         )
         self.start_tick = int(start_tick)
         self._ckpt_writer: Optional[CheckpointWriter] = None
+        #: ``perf_counter`` stamp at which every worker had finished
+        #: :meth:`_ShardWorker.setup` (set by `_drive_inline` and
+        #: `_drive_process`).
+        self.setup_done_s = float("nan")
 
         n = engine.fleet.server_count
         if resume_dir is None:
@@ -881,6 +885,7 @@ def _drive_inline(
     try:
         for worker in workers:
             worker.setup()
+        coordinator.setup_done_s = perf_counter()
         for tick in range(start_tick, steps):
             coordinator.begin_tick(tick)
             coordinator.maybe_request_checkpoint(tick)
@@ -990,6 +995,7 @@ def _drive_process(
     watcher.start()
     try:
         wait(done, start_tick - 1)  # initial publishes visible
+        coordinator.setup_done_s = perf_counter()
         for tick in range(start_tick, steps):
             try:
                 coordinator.begin_tick(tick)
@@ -1097,7 +1103,7 @@ def run_sharded(
     wall_t0 = perf_counter()
     fleet = engine.fleet
     n = fleet.server_count
-    socket_counts = {spec.socket_count for spec in fleet.servers}
+    socket_counts = set(fleet.socket_counts.tolist())
     if len(socket_counts) != 1:
         raise ValueError(
             "the sharded backend needs every server to have the same "
@@ -1334,6 +1340,7 @@ def run_sharded(
             "barrier_timeout_s": timeout_s,
             "resume_tick": start_tick,
             "restarts": restarts,
+            "wall_setup_s": coordinator.setup_done_s - wall_t0,
             "wall_stream_s": perf_counter() - wall_t0,
             "ru_maxrss_stream_kb": ru_maxrss_kib(usage_self.ru_maxrss),
             "ru_maxrss_children_kb": ru_maxrss_kib(usage_children.ru_maxrss),

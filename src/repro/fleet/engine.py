@@ -456,13 +456,16 @@ class FleetEngine:
         self.seed = seed
         self.trip_on_critical = trip_on_critical
         if cold_start:
-            for index, spec in enumerate(fleet.servers):
-                if not spec.fan.rpm_min <= cold_start_rpm <= spec.fan.rpm_max:
-                    raise ValueError(
-                        f"server {index}: cold_start_rpm {cold_start_rpm} "
-                        f"outside supported range "
-                        f"[{spec.fan.rpm_min}, {spec.fan.rpm_max}]"
-                    )
+            index = fleet.first_outside_fan_range(
+                np.full(fleet.server_count, cold_start_rpm)
+            )
+            if index is not None:
+                fan = fleet.servers[index].fan
+                raise ValueError(
+                    f"server {index}: cold_start_rpm {cold_start_rpm} "
+                    f"outside supported range "
+                    f"[{fan.rpm_min}, {fan.rpm_max}]"
+                )
         self.cold_start = cold_start
         self.cold_start_rpm = float(cold_start_rpm)
         if faults is not None and not isinstance(faults, FaultSchedule):
@@ -489,8 +492,9 @@ class FleetEngine:
         return _ReferenceBackend(self.fleet, self.seed, self.trip_on_critical)
 
     def _validated_command(self, index: int, rpm: float) -> float:
-        fan = self.fleet.servers[index].fan
-        if not fan.rpm_min <= rpm <= fan.rpm_max:
+        fleet = self.fleet
+        if not fleet.fan_rpm_min[index] <= rpm <= fleet.fan_rpm_max[index]:
+            fan = fleet.servers[index].fan
             raise ValueError(
                 f"server {index}: rpm {rpm} outside supported range "
                 f"[{fan.rpm_min}, {fan.rpm_max}]"
@@ -498,11 +502,11 @@ class FleetEngine:
         return float(rpm)
 
     def _validated_pstate(self, index: int, pstate: int) -> int:
-        ladder = self.fleet.servers[index].dvfs
-        if not 0 <= pstate < len(ladder):
+        ladder_length = self.fleet.pstate_count[index]
+        if not 0 <= pstate < ladder_length:
             raise ValueError(
                 f"server {index}: p-state {pstate} outside the "
-                f"{len(ladder)}-state ladder"
+                f"{ladder_length}-state ladder"
             )
         return int(pstate)
 
@@ -865,6 +869,7 @@ class FleetEngine:
             start_tick, restored, physics_objects = self._load_run_checkpoint(
                 resume_from, _CHECKPOINT_KIND, dt_s, steps, plan, trace
             )
+        setup_t0 = perf_counter()
         physics = self._make_stepper()
         if restored is not None:
             physics.restore_state(
@@ -903,6 +908,11 @@ class FleetEngine:
             pstate_now = np.zeros(n, dtype=int)
             exhaust_rise = np.zeros(n)
             max_junction_c, leak_w = physics.initial_views_data()
+        if self.metrics is not None:
+            self.metrics.timer(
+                "repro_fleet_setup",
+                "Run setup: stepper build, controller reset, placement",
+            ).add(perf_counter() - setup_t0)
         # the leakage slope only feeds leakage-aware rankings / view
         # fallbacks — computed lazily from the pre-step fleet state
         slope_fn = physics.leakage_slope_w_per_c

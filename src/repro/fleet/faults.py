@@ -392,7 +392,7 @@ class FaultSchedule:
         self.validate_for(fleet)
         n = fleet.server_count
         times = plan_tick_times(steps, dt_s)[:steps]
-        rack_of = np.asarray(fleet.rack_index_of_server)
+        rack_of = fleet.rack_index
 
         outage = np.zeros((steps, n), dtype=bool)
         rpm_cap = np.full((steps, n), np.inf)
@@ -402,8 +402,8 @@ class FaultSchedule:
         has_fan = False
         has_excursions = False
 
-        rpm_min = np.array([spec.fan.rpm_min for spec in fleet.servers])
-        rpm_max = np.array([spec.fan.rpm_max for spec in fleet.servers])
+        rpm_min = fleet.fan_rpm_min
+        rpm_max = fleet.fan_rpm_max
 
         for event in self.events:
             mask = event.active_mask(times)

@@ -76,7 +76,7 @@ class FleetPlacement:
         self.plan = plan
         self.respilled = respilled
         self.fault_unserved = fault_unserved
-        self.rack_index = np.asarray(fleet.rack_index_of_server)
+        self.rack_index = fleet.rack_index
         # the dense coupling matrix is only materialized when the fleet
         # actually recirculates: with no coupling the offsets are an
         # exact zero vector and the O(N^2) product (of zeros) is skipped
@@ -205,14 +205,18 @@ class ControllerBank:
         A controller without an initial speed keeps the rotor speed
         the stepper starts at (``current_rpm``).
         """
-        engine = self.engine
+        wanted: List[float] = []
         for li, controller in enumerate(self.controllers):
             controller.reset()
             initial = controller.initial_rpm()
-            self.rpm_command[li] = engine._validated_command(
-                self.lo + li,
-                initial if initial is not None else float(current_rpm[li]),
+            wanted.append(
+                initial if initial is not None else float(current_rpm[li])
             )
+        commands = np.array(wanted, dtype=float)
+        index = self.engine.fleet.first_outside_fan_range(commands, self.lo)
+        if index is not None:  # raises, naming the server
+            self.engine._validated_command(index, wanted[index - self.lo])
+        self.rpm_command[:] = commands
         self.next_poll[:] = 0.0
         self.next_poll_due = 0.0
 

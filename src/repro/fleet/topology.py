@@ -22,7 +22,7 @@ paper's isolated-room conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,6 +137,15 @@ class Fleet:
     order), then rack 1's, and so on.  ``recirculation[i, j]`` is the
     fraction of server *j*'s exhaust temperature rise arriving at
     server *i*'s inlet; ``None`` means no coupling (isolated rooms).
+
+    The fleet is the one source of truth for per-server spec bounds:
+    construction flattens the racks once into the server tuple and the
+    read-only arrays :attr:`rack_index`, :attr:`fan_rpm_min`,
+    :attr:`fan_rpm_max`, :attr:`pstate_count` and :attr:`socket_counts`
+    (flat index order), which every setup and validation path reads
+    instead of walking the racks.  They are derived attributes, not
+    dataclass fields, so equality, hashing, ``repr`` and pickles see
+    only the racks and the coupling.
     """
 
     racks: Tuple[Rack, ...]
@@ -147,6 +156,7 @@ class Fleet:
     def __post_init__(self) -> None:
         if not self.racks:
             raise ValueError("fleet needs at least one rack")
+        self._index_servers()
         if self.recirculation is not None:
             matrix = np.asarray(self.recirculation, dtype=float)
             n = self.server_count
@@ -171,10 +181,46 @@ class Fleet:
                 )
             object.__setattr__(self, "recirculation", matrix)
 
+    def _index_servers(self) -> None:
+        """Flatten the racks into the per-server arrays, once."""
+        servers = tuple(spec for rack in self.racks for spec in rack.servers)
+        sizes = np.array([len(rack.servers) for rack in self.racks])
+
+        def frozen(values, dtype) -> np.ndarray:
+            array = np.array(values, dtype=dtype)
+            array.flags.writeable = False
+            return array
+
+        derived = {
+            "_servers": servers,
+            "_rack_sizes": sizes,
+            "_rack_supply": tuple(rack.supply_model() for rack in self.racks),
+            "_rack_index": frozen(
+                np.repeat(np.arange(len(self.racks)), sizes), np.intp
+            ),
+            "_fan_rpm_min": frozen([s.fan.rpm_min for s in servers], float),
+            "_fan_rpm_max": frozen([s.fan.rpm_max for s in servers], float),
+            "_pstate_count": frozen([len(s.dvfs) for s in servers], np.intp),
+            "_socket_counts": frozen(
+                [s.socket_count for s in servers], np.intp
+            ),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only; the per-server arrays are rebuilt
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._index_servers()
+
     @property
     def server_count(self) -> int:
         """Total number of servers across all racks."""
-        return sum(rack.server_count for rack in self.racks)
+        return len(self._servers)
 
     @property
     def rack_count(self) -> int:
@@ -184,15 +230,52 @@ class Fleet:
     @property
     def servers(self) -> Tuple[ServerSpec, ...]:
         """All server specs in flat (rack-major) index order."""
-        return tuple(spec for rack in self.racks for spec in rack.servers)
+        return self._servers
+
+    @property
+    def rack_index(self) -> np.ndarray:
+        """Owning rack index of each server (read-only int array)."""
+        return self._rack_index
 
     @property
     def rack_index_of_server(self) -> Tuple[int, ...]:
         """Owning rack index for each flat server index."""
-        return tuple(
-            r for r, rack in enumerate(self.racks)
-            for _ in range(rack.server_count)
+        return tuple(self._rack_index.tolist())
+
+    @property
+    def fan_rpm_min(self) -> np.ndarray:
+        """Lowest supported fan speed of each server, rpm (read-only)."""
+        return self._fan_rpm_min
+
+    @property
+    def fan_rpm_max(self) -> np.ndarray:
+        """Highest supported fan speed of each server, rpm (read-only)."""
+        return self._fan_rpm_max
+
+    @property
+    def pstate_count(self) -> np.ndarray:
+        """DVFS ladder length of each server (read-only int array)."""
+        return self._pstate_count
+
+    @property
+    def socket_counts(self) -> np.ndarray:
+        """CPU socket count of each server (read-only int array)."""
+        return self._socket_counts
+
+    def first_outside_fan_range(
+        self, rpm: np.ndarray, lo: int = 0
+    ) -> Optional[int]:
+        """First server of ``[lo, lo + len(rpm))`` whose fan cannot run at
+        its *rpm* entry (NaN never can), as a flat index; None if all can.
+        """
+        hi = lo + len(rpm)
+        outside = np.flatnonzero(
+            ~(
+                (self._fan_rpm_min[lo:hi] <= rpm)
+                & (rpm <= self._fan_rpm_max[lo:hi])
+            )
         )
+        return lo + int(outside[0]) if outside.size else None
 
     def rack_slices(self) -> List[slice]:
         """Flat-index slice covering each rack's servers."""
@@ -211,21 +294,21 @@ class Fleet:
         return self.recirculation
 
     def supply_models(self) -> List[AmbientModel]:
-        """One CRAC supply model per server, flat index order."""
+        """One CRAC supply model per server (shared within a rack)."""
         return [
-            rack.supply_model()
-            for rack in self.racks
-            for _ in range(rack.server_count)
+            model
+            for model, size in zip(self._rack_supply, self._rack_sizes)
+            for _ in range(size)
         ]
 
     def supply_temperatures_c(self, time_s: float) -> np.ndarray:
         """Per-server CRAC supply temperature at *time_s*."""
-        return np.array(
-            [
-                rack.supply_model().temperature_c(time_s)
-                for rack in self.racks
-                for _ in range(rack.server_count)
-            ]
+        return np.repeat(
+            np.array(
+                [model.temperature_c(time_s) for model in self._rack_supply],
+                dtype=float,
+            ),
+            self._rack_sizes,
         )
 
     def inlet_temperatures_c(
