@@ -36,3 +36,16 @@ def write_bench_json(results_dir: Path, name: str, payload: dict) -> Path:
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"\n--- {path.name} ---\n{json.dumps(document, indent=2, sort_keys=True)}")
     return path
+
+
+def update_bench_json(results_dir: Path, name: str, payload: dict) -> Path:
+    """Merge *payload* into ``BENCH_<name>.json``, keeping the other keys.
+
+    For a ``BENCH_*.json`` that several benches of one module write.
+    """
+    path = Path(results_dir) / f"BENCH_{name}.json"
+    document = json.loads(path.read_text()) if path.exists() else {}
+    document.pop("bench", None)
+    document.pop("machine", None)
+    document.update(payload)
+    return write_bench_json(results_dir, name, document)

@@ -11,9 +11,12 @@ as much cooling as their nearest characterized upper bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.optimizer import OptimizationResult, optimal_fan_speed
 from repro.core.thermal_map import ThermalMap
@@ -31,6 +34,10 @@ PAPER_UTILIZATION_LEVELS_PCT = (10.0, 25.0, 40.0, 50.0, 60.0, 75.0, 90.0, 100.0)
 
 #: Fan speeds characterized in the paper (§IV).
 PAPER_FAN_SPEEDS_RPM = (1800.0, 2400.0, 3000.0, 3600.0, 4200.0)
+
+
+#: Slack added to every level before the round-up comparison, percent.
+LEVEL_SLACK_PCT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,51 @@ class LookupTable:
             validate_utilization_pct(level)
         if any(r <= 0 for r in self.rpms):
             raise ValueError("fan speeds must be positive")
+        self._index_levels()
+
+    def _index_levels(self) -> None:
+        """The round-up thresholds both queries search, built once."""
+        thresholds = np.array(self.levels_pct, dtype=float) + LEVEL_SLACK_PCT
+        thresholds.flags.writeable = False
+        # the last entry twice: utilizations above every level index it
+        rpms = np.array([*self.rpms, self.rpms[-1]], dtype=float)
+        rpms.flags.writeable = False
+        object.__setattr__(self, "_thresholds", thresholds)
+        object.__setattr__(self, "_rpm_array", rpms)
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only; the threshold arrays are rebuilt
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._index_levels()
 
     def query(self, utilization_pct: float) -> float:
-        """Fan speed for *utilization_pct* (rounds up to the next level)."""
+        """Fan speed for *utilization_pct* (rounds up to the next level).
+
+        The entry is the first whose ``level + LEVEL_SLACK_PCT`` reaches
+        the utilization; above every level, the last entry.
+        """
         validate_utilization_pct(utilization_pct)
-        for level, rpm in zip(self.levels_pct, self.rpms):
-            if utilization_pct <= level + 1e-9:
-                return rpm
-        return self.rpms[-1]
+        index = bisect_left(self._thresholds, utilization_pct)
+        return self.rpms[min(index, len(self.rpms) - 1)]
+
+    def query_many(self, utilization_pct: np.ndarray) -> np.ndarray:
+        """:meth:`query` of every element, as a float array.
+
+        Raises :meth:`query`'s ``ValueError`` for the first element
+        outside [0, 100] percent.
+        """
+        utilization = np.asarray(utilization_pct, dtype=float)
+        # min/max propagate NaN, which fails both comparisons
+        if utilization.size and not (
+            utilization.min() >= 0.0 and utilization.max() <= 100.0
+        ):
+            valid = (utilization >= 0.0) & (utilization <= 100.0)
+            validate_utilization_pct(float(utilization[~valid][0]))
+        return self._rpm_array[self._thresholds.searchsorted(utilization)]
 
     def __len__(self) -> int:
         return len(self.levels_pct)

@@ -37,7 +37,7 @@ reproduce the pre-kernel noisy traces draw for draw.
 from __future__ import annotations
 
 from math import exp
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -839,7 +839,15 @@ class FleetVectorKernel:
                 "Fleet vector kernel physics steps",
             )
         servers = fleet.servers
-        socket_counts = {spec.socket_count for spec in servers}
+        # each getter runs once per distinct spec object; the index
+        # array expands the results to every server
+        distinct: Dict[int, int] = {}
+        spec_index = np.array(
+            [distinct.setdefault(id(spec), len(distinct)) for spec in servers],
+            dtype=np.intp,
+        )
+        specs = list({id(spec): spec for spec in servers}.values())
+        socket_counts = {spec.socket_count for spec in specs}
         if len(socket_counts) != 1:
             raise ValueError(
                 "the vector backend needs every server to have the same "
@@ -849,12 +857,12 @@ class FleetVectorKernel:
         n = len(servers)
 
         def per_server(getter) -> np.ndarray:
-            return np.array([float(getter(s)) for s in servers])
+            return np.array([float(getter(s)) for s in specs])[spec_index]
 
         def per_socket(getter) -> np.ndarray:
             return np.array(
-                [[float(getter(sock)) for sock in s.sockets] for s in servers]
-            )
+                [[float(getter(sock)) for sock in s.sockets] for s in specs]
+            )[spec_index]
 
         # fan bank (uniform command across the bank, as the paper runs)
         self.fan_count = per_server(lambda s: s.fan_count)
@@ -916,14 +924,27 @@ class FleetVectorKernel:
 
     def set_pstate(self, server_index: int, pstate_index: int) -> None:
         """Switch one server's sockets to *pstate_index* (validated)."""
-        dvfs = self._dvfs[server_index]
-        dvfs.state(pstate_index)  # raises IndexError if out of range
-        self.pstate[server_index] = pstate_index
-        self.freq_ratio[server_index] = dvfs.frequency_ratio(pstate_index)
-        self.static_scale[server_index] = dvfs.static_power_scale(pstate_index)
-        self.dynamic_scale[server_index] = dvfs.dynamic_power_scale(
-            pstate_index
-        )
+        self.set_pstates((server_index,), (pstate_index,))
+
+    def set_pstates(
+        self, server_indices: Sequence[int], pstate_indices: Sequence[int]
+    ) -> None:
+        """Switch each listed server to its p-state, in order (validated).
+
+        The step caches that depend on the p-states are refreshed once
+        for the whole batch.
+        """
+        for server_index, pstate_index in zip(server_indices, pstate_indices):
+            dvfs = self._dvfs[server_index]
+            dvfs.state(pstate_index)  # raises IndexError if out of range
+            self.pstate[server_index] = pstate_index
+            self.freq_ratio[server_index] = dvfs.frequency_ratio(pstate_index)
+            self.static_scale[server_index] = dvfs.static_power_scale(
+                pstate_index
+            )
+            self.dynamic_scale[server_index] = dvfs.dynamic_power_scale(
+                pstate_index
+            )
         self._active_static = None
         self._stretch_trivial = bool((self.freq_ratio == 1.0).all())
 
@@ -1009,9 +1030,10 @@ class FleetVectorKernel:
             self.leak_k2_w, self.leak_k3_per_c, self.t_j
         ).sum(axis=1)
 
-    def avg_junction_c(self) -> np.ndarray:
-        """Per-server mean junction temperature, °C."""
-        return self.t_j.mean(axis=1)
+    def avg_junction_c(self, index: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-server mean junction temperature, °C (of *index* only, if given)."""
+        t_j = self.t_j if index is None else self.t_j[index]
+        return t_j.mean(axis=1)
 
     # ------------------------------------------------------------------
     # kernelized fast path

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.controllers.base import ControllerObservation, FanController
+from repro.engine.kernel import POLL_EPS_S
 from repro.server.server import ServerSimulator
 from repro.telemetry.harness import TelemetryHarness
 from repro.telemetry.recorder import TraceRecorder
@@ -155,7 +156,7 @@ class DlcPc:
             elapsed = time_s - start_s
             instantaneous = loadgen.instantaneous_pct(elapsed)
 
-            if time_s >= self._next_controller_poll_s - 1e-9:
+            if time_s >= self._next_controller_poll_s - POLL_EPS_S:
                 csth_temps = self.latest_cpu_temperatures_c()
                 observation = ControllerObservation(
                     time_s=time_s,
@@ -175,7 +176,7 @@ class DlcPc:
                         self.sim.set_pstate(pstate)
                 # Advance past the current time so a dt_s longer than
                 # the poll interval cannot leave the clock behind.
-                while time_s >= self._next_controller_poll_s - 1e-9:
+                while time_s >= self._next_controller_poll_s - POLL_EPS_S:
                     self._next_controller_poll_s += self.controller.poll_interval_s
 
             state = self.sim.step(dt_s, instantaneous)

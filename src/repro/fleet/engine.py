@@ -125,27 +125,27 @@ class _ReferenceBackend:
     STATE_KEYS = ()
 
     def __init__(self, fleet: Fleet, seed: int, trip_on_critical: bool):
-        self.sims: List[ServerSimulator] = []
-        for i, (spec, supply) in enumerate(
-            zip(fleet.servers, fleet.supply_models())
-        ):
-            self.sims.append(
-                ServerSimulator(
-                    spec=spec,
-                    ambient=RecirculationAmbient(supply),
-                    seed=seed + i,
-                    trip_on_critical=trip_on_critical,
-                )
+        self.sims: List[ServerSimulator] = [
+            ServerSimulator(
+                spec=spec,
+                ambient=RecirculationAmbient(supply),
+                seed=seed + i,
+                trip_on_critical=trip_on_critical,
             )
+            for i, (spec, supply) in enumerate(
+                zip(fleet.servers, fleet.supply_models())
+            )
+        ]
 
     @property
     def rpm(self) -> np.ndarray:
         """Mean rotor speed of every simulator's fan bank, RPM."""
         return np.array([sim.fans.mean_rpm for sim in self.sims])
 
-    def set_pstate(self, server_index: int, pstate_index: int) -> None:
-        """Switch one wrapped simulator to *pstate_index*."""
-        self.sims[server_index].set_pstate(pstate_index)
+    def set_pstates(self, server_indices, pstate_indices) -> None:
+        """Switch each listed simulator to its p-state, in order."""
+        for server_index, pstate_index in zip(server_indices, pstate_indices):
+            self.sims[server_index].set_pstate(pstate_index)
 
     def force_cold_state(self, cold_start_rpm: float) -> None:
         """The experiment protocol's pre-``t = 0`` idle settle, per sim."""
@@ -174,9 +174,11 @@ class _ReferenceBackend:
             ]
         )
 
-    def avg_junction_c(self) -> np.ndarray:
-        """Per-server mean junction temperature, °C."""
-        return self._per_server(lambda sim, socks, t_j: sum(t_j) / len(t_j))
+    def avg_junction_c(self, index=None) -> np.ndarray:
+        """Per-server mean junction temperature, °C (of *index*, if given)."""
+        sims = self.sims if index is None else [self.sims[i] for i in index]
+        t_j = [sim.thermal.state.junction_c for sim in sims]
+        return np.array([sum(t) / len(t) for t in t_j])
 
     def leakage_slope_w_per_c(self) -> np.ndarray:
         """Per-server ``dP_leak/dT_j`` summed over sockets, W/°C."""

@@ -465,6 +465,7 @@ class FleetFaultPlan:
         "has_excursions",
         "fault_active",
         "sensor_channels",
+        "sensor_faulted",
         "_has_sensor",
     )
 
@@ -494,9 +495,13 @@ class FleetFaultPlan:
         #: One faultable thermal channel per server, polled by the
         #: engine's controller loop.
         self.sensor_channels = list(sensor_channels)
-        self._has_sensor = any(
-            channel.fault_count for channel in self.sensor_channels
+        #: Per-server "has a telemetry fault registered" mask: the only
+        #: servers whose polls :meth:`transform_observation` can change.
+        self.sensor_faulted = np.array(
+            [channel.fault_count > 0 for channel in self.sensor_channels],
+            dtype=bool,
         )
+        self._has_sensor = bool(self.sensor_faulted.any())
 
     @property
     def has_sensor_faults(self) -> bool:

@@ -14,12 +14,15 @@ slice of per-server controllers.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import isnan
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.controllers.base import ControllerObservation, FanController
+from repro.core.controllers.coordinated import CoordinatedController
+from repro.core.controllers.lut import LUTController
 from repro.engine.kernel import POLL_EPS_S, plan_tick_times
 from repro.fleet.scheduler import (
     FleetLoadArrays,
@@ -167,14 +170,121 @@ class FleetPlacement:
         return decision
 
 
+class _LUTFilter:
+    """The polls at which a group of LUT controllers can act.
+
+    The group shares one table and lockout.  ``decide`` changes
+    nothing unless the table's target differs from the current command
+    and the lockout has expired, so only those servers need a call.
+    The bank's ``fan_clock`` mirrors each object's ``clock`` attribute
+    (NaN for ``None``, which is never locked out).
+    """
+
+    clock = "_last_change_s"
+
+    def __init__(self, members: np.ndarray, controller: Any) -> None:
+        #: Bank-local indices of the group's servers, ascending.
+        self.members = members
+        #: The same servers as a slice when they are contiguous, so a
+        #: poll with every member due reads views instead of copies.
+        self.span: Any = members
+        if members[-1] - members[0] + 1 == members.size:
+            self.span = slice(int(members[0]), int(members[-1]) + 1)
+        self.lut = controller.lut
+        self.lockout_s = controller.lockout_s
+
+    def acting(
+        self,
+        index: np.ndarray,
+        time_s: float,
+        utilization: np.ndarray,
+        bank: "ControllerBank",
+    ) -> np.ndarray:
+        """Which servers of *index* a call would change (bool array)."""
+        target = self.lut.query_many(utilization)
+        locked = time_s - bank.fan_clock[index] < self.lockout_s
+        return (target != bank.rpm_command[index]) & ~locked
+
+    def refresh(self, controller: Any, li: int, bank: "ControllerBank") -> None:
+        """Copy server *li*'s mirrored state from its object."""
+        last = getattr(controller, self.clock)
+        bank.fan_clock[li] = np.nan if last is None else last
+
+
+class _CoordinatedFilter(_LUTFilter):
+    """:class:`_LUTFilter` plus the p-state test of the coordinated policy.
+
+    ``decide_pstate`` changes nothing unless its target state differs
+    from the object's ``_pstate`` (mirrored in the bank's
+    ``pstate_seen``).  A server is called if either test passes; the
+    method whose test fails is then a pure no-op.
+    """
+
+    clock = "_last_fan_change_s"
+
+    def __init__(self, members: np.ndarray, controller: Any) -> None:
+        super().__init__(members, controller)
+        self.dvfs = controller.dvfs
+        self.headroom_pct = controller.headroom_pct
+        self.frequency_ratio = np.array(
+            [self.dvfs.frequency_ratio(i) for i in range(len(self.dvfs))]
+        )
+
+    def acting(self, index, time_s, utilization, bank) -> np.ndarray:
+        current = bank.pstate_seen[index]
+        demand = np.minimum(100.0, utilization * self.frequency_ratio[current])
+        target = self.dvfs.slowest_states_sustaining(demand, self.headroom_pct)
+        # saturated sockets hide the demand: escalate to nominal
+        target[utilization >= self.headroom_pct] = 0
+        fan = super().acting(index, time_s, utilization, bank)
+        return fan | (target != current)
+
+    def refresh(self, controller, li, bank) -> None:
+        super().refresh(controller, li, bank)
+        bank.pstate_seen[li] = controller._pstate
+
+
+def _filter_key(controller: FanController) -> Optional[tuple]:
+    """Group of servers whose polls one filter answers (None: no filter).
+
+    Dispatch is on the exact type (:class:`LUTController`,
+    :class:`CoordinatedController`): a subclass may change the policy,
+    so it is always called.  Servers share a filter when their tables,
+    lockouts (and ladders and headrooms) are equal.
+    """
+    kind = type(controller)
+    key: tuple
+    if kind is LUTController:
+        key = (_LUTFilter, controller.lut, controller.lockout_s)
+    elif kind is CoordinatedController:
+        key = (
+            _CoordinatedFilter,
+            controller.lut,
+            controller.lockout_s,
+            controller.dvfs,
+            controller.headroom_pct,
+        )
+    else:
+        return None
+    try:
+        hash(key)
+    except TypeError:  # a table or ladder built from lists
+        return None
+    return key
+
+
 class ControllerBank:
     """Controllers of servers ``[lo, lo + len(controllers))``.
 
     Holds the per-server fan commands and poll clocks; array indices
     are local to the slice, while fan/p-state validation and sensor
     faults see the global server index ``lo + local``.  The stepper
-    passed to :meth:`poll` must expose ``avg_junction_c()`` and
-    ``set_pstate(local_index, pstate)``.
+    passed to :meth:`poll` must expose ``avg_junction_c(local_indices)``
+    (all servers for ``None``) and ``set_pstates(local_indices, pstates)``.
+
+    The controller objects are the only place a command changes.  A
+    vectorized poll filter skips the calls it can prove are no-ops
+    (see :class:`_LUTFilter`); every other due server is called.
     """
 
     def __init__(
@@ -191,13 +301,47 @@ class ControllerBank:
             getattr(controller, "decide_pstate", None)
             for controller in self.controllers
         ]
-        self.sensor_plan = (
-            plan if plan is not None and plan.has_sensor_faults else None
-        )
         width = len(self.controllers)
+        self.sensor_plan = None
+        self.sensor_faulted: Optional[np.ndarray] = None
+        if plan is not None and plan.has_sensor_faults:
+            self.sensor_plan = plan
+            self.sensor_faulted = plan.sensor_faulted[lo : lo + width]
         self.rpm_command = np.empty(width)
         self.next_poll = np.zeros(width)
         self.next_poll_due = 0.0
+        self.poll_interval = np.array(
+            [controller.poll_interval_s for controller in self.controllers],
+            dtype=float,
+        )
+        # filter mirrors of the objects' lockout clocks and p-states
+        self.fan_clock = np.full(width, np.nan)
+        self.pstate_seen = np.zeros(width, dtype=np.intp)
+        groups: Dict[tuple, List[int]] = {}
+        # one object polled for several servers keeps order-dependent
+        # state: it is always called
+        uses = Counter(map(id, self.controllers))
+        for li, controller in enumerate(self.controllers):
+            key = _filter_key(controller)
+            if key is not None and uses[id(controller)] == 1:
+                groups.setdefault(key, []).append(li)
+        self.filters = [
+            key[0](np.array(members, dtype=np.intp), self.controllers[members[0]])
+            for key, members in groups.items()
+        ]
+        #: The filter of each server (None: always called).
+        self.filter_of: List[Optional[_LUTFilter]] = [None] * width
+        for poll_filter in self.filters:
+            for li in poll_filter.members.tolist():
+                self.filter_of[li] = poll_filter
+        # one poll's p-state changes: (server, p-state) rows, in order
+        self._pstate_changes = np.empty((2, width), dtype=np.intp)
+
+    def _refresh_filters(self) -> None:
+        """Rebuild every filter mirror from the controller objects."""
+        for li, poll_filter in enumerate(self.filter_of):
+            if poll_filter is not None:
+                poll_filter.refresh(self.controllers[li], li, self)
 
     def reset(self, current_rpm: np.ndarray) -> None:
         """Reset every controller and seed the fan commands.
@@ -219,6 +363,7 @@ class ControllerBank:
         self.rpm_command[:] = commands
         self.next_poll[:] = 0.0
         self.next_poll_due = 0.0
+        self._refresh_filters()
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Copies of the commands and poll clocks, for checkpointing."""
@@ -229,10 +374,11 @@ class ControllerBank:
         }
 
     def load_state_arrays(self, state: Dict[str, np.ndarray]) -> None:
-        """Restore :meth:`state_arrays` output."""
+        """Restore :meth:`state_arrays` output (the objects are restored)."""
         self.rpm_command[:] = state["rpm_command"]
         self.next_poll[:] = state["next_poll"]
         self.next_poll_due = float(state["next_poll_due"])
+        self._refresh_filters()
 
     def due(self, time_s: float) -> bool:
         """Whether any controller's poll clock has reached ``time_s``."""
@@ -249,41 +395,75 @@ class ControllerBank:
 
         ``max_junction_c`` and ``executed`` are the previous tick's
         per-server hottest junction and executed utilization (local
-        indexing); the junction mean is read from ``physics``.
+        indexing); the junction means are read from ``physics``.
+        Controllers are called in ascending server order, and only
+        where a call can change a command (see the class docstring).
         """
         lo = self.lo
         engine = self.engine
         controllers = self.controllers
         decide_pstate_fns = self.decide_pstate_fns
-        sensor_plan = self.sensor_plan
+        filter_of = self.filter_of
         rpm_command = self.rpm_command
         next_poll = self.next_poll
-        set_pstate = physics.set_pstate
-        avg_junction_c = physics.avg_junction_c()
-        for li in np.nonzero(time_s >= next_poll - POLL_EPS_S)[0]:
-            controller = controllers[li]
-            max_c = float(max_junction_c[li])
-            avg_c = float(avg_junction_c[li])
-            if sensor_plan is not None:
-                max_c, avg_c = sensor_plan.transform_observation(
-                    lo + int(li), time_s, max_c, avg_c
+        interval = self.poll_interval
+        due = time_s >= next_poll - POLL_EPS_S
+        call = due.copy()
+        max_c = max_junction_c
+        avg_c = None
+        if self.sensor_faulted is not None:
+            faulted = np.flatnonzero(self.sensor_faulted & due)
+            if faulted.size:
+                max_c = max_c.copy()
+                avg_c = physics.avg_junction_c().copy()
+                transform = self.sensor_plan.transform_observation
+                for li in faulted.tolist():
+                    max_c[li], avg_c[li] = transform(
+                        lo + li, time_s, float(max_c[li]), float(avg_c[li])
+                    )
+        all_due = due.all()
+        for poll_filter in self.filters:
+            if all_due:
+                index = poll_filter.span
+            else:
+                index = poll_filter.members[due[poll_filter.members]]
+            try:
+                call[index] = poll_filter.acting(
+                    index, time_s, executed[index], self
                 )
-            # A dropped-out channel (NaN reading) makes the BMC hold the
-            # last fan and p-state commands; the poll clock still
-            # advances.
-            if not (isnan(max_c) or isnan(avg_c)):
+            except ValueError:
+                # an out-of-range utilization: every due member is
+                # called, so the objects raise their own error in
+                # server order
+                pass
+        called = call.nonzero()[0]
+        if called.size:
+            if avg_c is None:
+                mean = physics.avg_junction_c(called)
+            else:
+                mean = avg_c[called]
+            pstate_changes = self._pstate_changes
+            changes = 0
+            for li, hottest_c, mean_c, busy_pct, command_rpm in zip(
+                called.tolist(),
+                max_c[called].tolist(),
+                mean.tolist(),
+                executed[called].tolist(),
+                rpm_command[called].tolist(),
+            ):
+                controller = controllers[li]
+                # A dropped-out channel (NaN reading) makes the BMC
+                # hold the last fan and p-state commands; the poll
+                # clock still advances.  (A held server the filter
+                # skipped is a no-op either way.)
+                if isnan(hottest_c) or isnan(mean_c):
+                    continue
                 observation = ControllerObservation(
-                    time_s=time_s,
-                    max_cpu_temperature_c=max_c,
-                    avg_cpu_temperature_c=avg_c,
-                    utilization_pct=float(executed[li]),
-                    current_rpm_command=float(rpm_command[li]),
+                    time_s, hottest_c, mean_c, busy_pct, command_rpm
                 )
                 wanted = controller.decide(observation)
-                if wanted is not None and wanted != rpm_command[li]:
-                    rpm_command[li] = engine._validated_command(
-                        lo + int(li), wanted
-                    )
+                if wanted is not None and wanted != command_rpm:
+                    rpm_command[li] = engine._validated_command(lo + li, wanted)
                 # Coordinated controllers additionally command a
                 # p-state, polled on the same cadence and in the same
                 # order as the single-server runner.
@@ -291,15 +471,23 @@ class ControllerBank:
                 if decide_pstate is not None:
                     wanted_pstate = decide_pstate(observation)
                     if wanted_pstate is not None:
-                        set_pstate(
-                            int(li),
-                            engine._validated_pstate(
-                                lo + int(li), int(wanted_pstate)
-                            ),
+                        pstate_changes[0, changes] = li
+                        pstate_changes[1, changes] = engine._validated_pstate(
+                            lo + li, int(wanted_pstate)
                         )
-            # Advance past the current time: with dt_s larger than the
-            # poll interval a single increment would let the poll clock
-            # fall unboundedly behind.
-            while time_s >= next_poll[li] - POLL_EPS_S:
-                next_poll[li] += controller.poll_interval_s
+                        changes += 1
+                poll_filter = filter_of[li]
+                if poll_filter is None:
+                    interval[li] = controller.poll_interval_s
+                else:
+                    poll_filter.refresh(controller, li, self)
+            if changes:
+                physics.set_pstates(*pstate_changes[:, :changes].tolist())
+        # Advance past the current time: with dt_s larger than the
+        # poll interval a single increment would let the poll clock
+        # fall unboundedly behind.
+        lag = due
+        while lag.any():
+            np.add(next_poll, interval, out=next_poll, where=lag)
+            lag = time_s >= next_poll - POLL_EPS_S
         self.next_poll_due = next_poll.min()

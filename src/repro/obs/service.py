@@ -299,7 +299,7 @@ class LiveTelemetryService:
         if self._observer_plan is None or not self._observer_plan.has_sensor_faults:
             return junction_c
         observed = np.array(junction_c, dtype=float)
-        for i in range(observed.shape[0]):
+        for i in np.flatnonzero(self._observer_plan.sensor_faulted).tolist():
             observed[i] = self._observer_plan.transform_observation(
                 i, time_s, float(observed[i]), float(observed[i])
             )[0]

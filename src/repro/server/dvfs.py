@@ -143,6 +143,31 @@ class DvfsSpec:
                 break
         return best
 
+    def slowest_states_sustaining(
+        self, demand_pct: np.ndarray, headroom_pct: float = 90.0
+    ) -> np.ndarray:
+        """:meth:`slowest_state_sustaining` of every element of *demand_pct*.
+
+        Walks the ladder once for the whole array with the scalar
+        method's elementwise arithmetic, so each element gets the
+        identical state.  Raises the scalar ``ValueError`` for the
+        first demand outside [0, 100] percent.
+        """
+        demand = np.asarray(demand_pct, dtype=float)
+        # min/max propagate NaN, which fails both comparisons
+        if demand.size and not (demand.min() >= 0.0 and demand.max() <= 100.0):
+            valid = (demand >= 0.0) & (demand <= 100.0)
+            validate_utilization_pct(float(demand[~valid][0]), "demand_pct")
+        if not 0.0 < headroom_pct <= 100.0:
+            raise ValueError("headroom_pct must be in (0, 100]")
+        best = np.zeros(demand.shape, dtype=np.intp)
+        sustaining = np.ones(demand.shape, dtype=bool)
+        for index in range(len(self.pstates)):
+            executed = np.minimum(100.0, demand / self.frequency_ratio(index))
+            sustaining &= executed <= headroom_pct
+            best[sustaining] = index
+        return best
+
 
 def default_dvfs_ladder() -> DvfsSpec:
     """A four-step ladder for the T3-class part (nominal 1.65 GHz)."""

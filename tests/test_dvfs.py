@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.server.dvfs import DvfsSpec, PState, default_dvfs_ladder
@@ -99,6 +100,26 @@ class TestScalingLaws:
         # 54% demand at 1.0 GHz is 89% busy -> allowed with 90% headroom.
         assert ladder.slowest_state_sustaining(54.0, headroom_pct=90.0) == 3
         assert ladder.slowest_state_sustaining(54.0, headroom_pct=80.0) == 2
+
+    @pytest.mark.parametrize("headroom", [50.0, 75.3, 90.0, 100.0])
+    def test_vectorized_selection_matches_scalar(self, ladder, headroom):
+        ratios = [ladder.frequency_ratio(i) for i in range(len(ladder))]
+        demand = np.concatenate(
+            [
+                np.linspace(0.0, 100.0, 2001),
+                [headroom * r for r in ratios],  # on each state's edge
+            ]
+        )
+        expected = [
+            ladder.slowest_state_sustaining(float(d), headroom) for d in demand
+        ]
+        got = ladder.slowest_states_sustaining(demand, headroom)
+        assert got.tolist() == expected
+
+    def test_vectorized_selection_raises_the_scalar_error(self, ladder):
+        with pytest.raises(ValueError, match="demand_pct must be in") as err:
+            ladder.slowest_states_sustaining(np.array([10.0, 100.5]))
+        assert "100.5" in str(err.value)
 
 
 class TestPowerModelIntegration:

@@ -2,6 +2,7 @@
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from repro.core.lut import LookupTable
@@ -59,6 +60,23 @@ class TestLutProperties:
     @given(lut=lookup_tables())
     def test_json_roundtrip(self, lut):
         assert LookupTable.from_json(lut.to_json()) == lut
+
+    @given(lut=lookup_tables(), us=st.lists(utilizations, max_size=20))
+    def test_query_many_matches_query(self, lut, us):
+        """The vectorized lookup is the scalar one, element by element."""
+        many = lut.query_many(np.array(us, dtype=float))
+        assert many.tolist() == [lut.query(u) for u in us]
+
+    @given(
+        lut=lookup_tables(),
+        bad=st.sampled_from([-1e-9, 100.0000001, float("nan"), float("inf")]),
+    )
+    def test_query_many_raises_the_scalar_error(self, lut, bad):
+        with pytest.raises(ValueError) as scalar:
+            lut.query(bad)
+        with pytest.raises(ValueError) as vector:
+            lut.query_many(np.array([50.0, bad, -5.0]))
+        assert str(vector.value) == str(scalar.value)
 
     @given(lut=lookup_tables(), u1=utilizations, u2=utilizations)
     def test_monotone_tables_give_monotone_queries(self, lut, u1, u2):
