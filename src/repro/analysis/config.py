@@ -110,7 +110,7 @@ HOT_FUNCTIONS: Mapping[str, FrozenSet[str]] = {
             "_ShardWorker.maybe_checkpoint",
             "_Coordinator.begin_tick",
             "_Coordinator.maybe_request_checkpoint",
-            "_Coordinator.maybe_commit_checkpoint",
+            "_Coordinator.end_tick",
         }
     ),
     "repro/telemetry/segments.py": frozenset(
@@ -120,7 +120,10 @@ HOT_FUNCTIONS: Mapping[str, FrozenSet[str]] = {
         {
             "FleetPlacement.inlet",
             "FleetPlacement.assign",
+            "FleetPlacement.place",
+            "FleetPlacement.record",
             "ControllerBank.poll",
+            "ServerStep.step",
         }
     ),
     "repro/facility/workload.py": frozenset(

@@ -1053,9 +1053,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "reference"),
-        help="queue-driven demand is evaluated tick by tick, so the "
-        "sharded backend is not available here",
+        choices=("vector", "reference", "sharded"),
+        help="fleet engine backend (see `repro fleet --help`); the "
+        "queue-driven run is bit-identical on vector and sharded",
     )
     p.set_defaults(func=cmd_facility)
 

@@ -824,10 +824,10 @@ class FleetVectorKernel:
     Per-server parameters and persistent ``(N, S)`` state arrays, one
     tick at a time through :meth:`step_into`.  The rest of the surface
     (:meth:`set_pstate`, :meth:`avg_junction_c`,
-    :meth:`leakage_slope_w_per_c`, :meth:`check_critical`, checkpoint
-    state) is what the fleet tick loop and the shard workers drive; the
-    fleet engine's reference stepper implements the same surface over
-    real simulators.
+    :meth:`leakage_slope_w_per_c`, ``critical_c``, checkpoint state) is
+    what :class:`~repro.fleet.stages.ServerStep` drives in the fleet
+    tick loop and the shard workers; the fleet engine's reference
+    stepper implements the same surface over real simulators.
     """
 
     def __init__(self, fleet, metrics=None):
@@ -1167,19 +1167,6 @@ class FleetVectorKernel:
     # ------------------------------------------------------------------
     # shared surface
     # ------------------------------------------------------------------
-    def check_critical(self, trip: bool) -> None:
-        """Raise if any junction exceeds its critical threshold."""
-        if not trip:
-            return
-        hottest = self.t_j.max(axis=1)
-        over = np.nonzero(hottest > self.critical_c)[0]
-        if over.size:
-            i = int(over[0])
-            raise CriticalTemperatureError(
-                f"server {i} junction reached {hottest[i]:.1f} degC "
-                f"(critical threshold {self.critical_c[i]:.1f} degC)"
-            )
-
     def initial_views_data(self):
         """(max_j, leakage_w) before the first tick."""
         return self.t_j.max(axis=1), self._leakage(self.t_j).sum(axis=1)

@@ -27,10 +27,13 @@ Bit-identity with ``vector`` holds by construction, not by tolerance:
   offset; no per-server state is ever touched by two shards.
 
 Per tick the coordinator and the k workers exchange exactly O(N)
-values through shared memory: workers publish their post-step summary
-rows (exhaust rise, executed utilization, hottest junction, leakage
-and its slope, p-state), the coordinator publishes the inlet vector
-and the placement allocations.  Two barriers sequence each tick:
+values through shared memory: each worker publishes its slice of the
+carried :class:`~repro.fleet.stages.FleetSummary` (exhaust rise,
+executed utilization, hottest junction, leakage and its slope,
+p-state), the coordinator publishes the inlet vector and the placement
+allocations.  The coordinator's placement stage is the only caller of
+the workload, so queue-backed (dynamic) workloads run here exactly as
+in the ``vector`` loop.  Two barriers sequence each tick:
 
 .. code-block:: text
 
@@ -41,12 +44,16 @@ and the placement allocations.  Two barriers sequence each tick:
    publish inlet, allocations
    request checkpoint cut?
    ---------- barrier "go" ------------------------
-                                    poll controllers [lo, hi)
-                                    step_into -> chunk buffer
+                                    ServerStep over [lo, hi):
+                                      poll controllers
+                                      fan-fault rpm cap
+                                      inlet, step_into -> chunk buffer
+                                      trip check -> trip flags
+                                      publish FleetSummary slice
                                     spill chunk at boundary
-                                    publish summary rows
                                     snapshot slice if cut requested
    ---------- barrier "done" ----------------------
+   record executed work (queue)
    seal + commit checkpoint
 
 Worker processes are forked (the ``process`` mode requires the
@@ -123,12 +130,18 @@ from repro.engine.checkpoint import (
     staging_dir_for_tick,
 )
 from repro.engine.kernel import FleetVectorKernel, plan_tick_times
-from repro.fleet.scheduler import FleetLoadArrays
-from repro.fleet.stages import ControllerBank, FleetPlacement
-from repro.server.server import CriticalTemperatureError
-from repro.server.thermal import substep_schedule
+from repro.fleet.stages import (
+    STEP_OUTPUT_COLUMNS,
+    ControllerBank,
+    FleetPlacement,
+    FleetSummary,
+    ServerStep,
+    raise_critical_trip,
+)
 from repro.telemetry.segments import (
+    FLEET_SCALAR_TRACE_COLUMNS,
     FLEET_TRACE_COLUMNS,
+    FLEET_TRACE_DTYPES,
     FleetTraceReader,
     ShardedTraceWriter,
     ShardTraceWriter,
@@ -139,10 +152,6 @@ from repro.telemetry.segments import (
 if TYPE_CHECKING:  # annotation-only; avoids an import cycle at runtime
     from repro.fleet.engine import FleetEngine, FleetResult
     from repro.fleet.faults import FleetFaultPlan
-
-#: Per-server columns written by shard workers (the coordinator owns
-#: ``inlet``, which is an input to the step, not an output of it).
-_WORKER_COLUMNS = tuple(c for c in FLEET_TRACE_COLUMNS if c != "inlet")
 
 #: Barrier timeout floor, s: even a tiny fleet gets a minute per tick
 #: before a silent worker fails the run.
@@ -250,22 +259,20 @@ class _SharedBlock:
                 return np.zeros(size, dtype=np.int64)
             return np.frombuffer(ctx.RawArray("q", size), dtype=np.int64)
 
-        #: Worker-published post-step summaries, full width.
-        self.exhaust_rise = f64(n)
-        self.executed = f64(n)
-        self.max_junction = f64(n)
-        self.leakage = f64(n)
-        self.slope = f64(n)
-        self.pstate = i64(n)
+        #: The carried state, full width: each worker publishes its
+        #: slice after every step (with an eager leakage slope, since
+        #: the coordinator ranks without the kernels).
+        self.summary = FleetSummary(
+            f64(n), f64(n), f64(n), f64(n), i64(n), slope=f64(n)
+        )
         #: Coordinator-published per-tick inputs, full width.
         self.inlet = f64(n)
         self.allocations = f64(n)
-        #: Per-shard critical-trip reports (-1 = no trip) and the
+        #: Per-shard critical-trip reports, rows of (server, junction
+        #: degC, threshold degC) with server -1 for none, and the
         #: cooperative stop flag.
-        self.trip_server = i64(shard_count)
-        self.trip_server[:] = -1
-        self.trip_temp = f64(shard_count)
-        self.trip_threshold = f64(shard_count)
+        self.trips = f64(3 * shard_count).reshape(shard_count, 3)
+        self.trips[:, 0] = -1
         self.stop = i64(1)
         #: Supervision: per-shard completed-tick watermark and the
         #: wall-clock of each worker's last sign of life.
@@ -279,11 +286,12 @@ class _SharedBlock:
 class _ShardWorker:
     """One shard: kernel slice, controllers ``[lo, hi)``, trace spills.
 
-    :meth:`step` runs the poll / fan-cap / ``step_into`` / handoff
-    section of the ``vector`` loop over the shard's slice: the poll is
-    the shared :class:`~repro.fleet.stages.ControllerBank` at the
-    slice offset, and the handoff publishes the same expressions the
-    vector loop carries to its next tick.
+    :meth:`step` runs the ``vector`` loop's
+    :class:`~repro.fleet.stages.ServerStep` over the shard's slice —
+    poll, fan cap, physics into the chunk buffer, trip check, publish
+    of its slice of the shared :class:`~repro.fleet.stages.FleetSummary`
+    — and spills the buffer at chunk boundaries.  A critical trip is
+    recorded in the shared trip flags instead of raised.
     """
 
     def __init__(
@@ -319,7 +327,6 @@ class _ShardWorker:
         self.checkpoint_root = checkpoint_root
         self.resume_dir = resume_dir
         self.start_tick = start_tick
-        self.substeps, self.h = substep_schedule(dt_s)
 
     @property
     def _shard_name(self) -> str:
@@ -330,16 +337,13 @@ class _ShardWorker:
         engine = self.engine
         lo, hi = self.lo, self.hi
         width = hi - lo
-        self._sl = slice(lo, hi)
         kernel = FleetVectorKernel(_subfleet(engine.fleet, lo, hi))
         self.kernel = kernel
+        state = None
         if self.resume_dir is None:
+            controllers = engine.controllers[lo:hi]
             if engine.cold_start:
                 kernel.force_cold_state(engine.cold_start_rpm)
-            self.bank = ControllerBank(
-                engine, engine.controllers[lo:hi], self.plan, lo
-            )
-            self.bank.reset(kernel.rpm)
         else:
             state = load_arrays(self.resume_dir, self._shard_name)
             kernel.load_state_arrays(
@@ -358,95 +362,53 @@ class _ShardWorker:
             channels = control["sensor_channels"]
             if self.plan is not None and channels is not None:
                 self.plan.sensor_channels[lo:hi] = channels
-            self.bank = ControllerBank(engine, controllers, self.plan, lo)
-            self.bank.load_state_arrays(state)
-        self.apply_faults = self.plan is not None
+        self.bank = ControllerBank(engine, controllers, self.plan, lo)
 
         # chunk buffers: the only O(chunk x width) state a worker holds
         self._buffers = {
             name: np.empty(
-                (self.chunk_ticks, width),
-                dtype=np.int64 if name == "pstate" else np.float64,
+                (self.chunk_ticks, width), dtype=FLEET_TRACE_DTYPES[name]
             )
-            for name in _WORKER_COLUMNS
+            for name in FLEET_TRACE_COLUMNS
         }
-        self._buf_power = self._buffers["power"]
-        self._buf_fan = self._buffers["fan"]
-        self._buf_junction = self._buffers["junction"]
-        self._buf_util = self._buffers["util"]
-        self._buf_rpm = self._buffers["rpm"]
-        self._buf_pstate = self._buffers["pstate"]
-        self._buf_deficit = self._buffers["deficit"]
         self._chunk_start = self.start_tick
-
-        # pre-step state the poll block reads: views into the shard's
-        # slice of the published summary arrays
-        self._junction_view = self.shared.max_junction[self._sl]
-        self._executed_view = self.shared.executed[self._sl]
-
-        if self.resume_dir is None:
-            # initial publish (executed / p-state / exhaust stay zero,
-            # matching the vector loop's pre-first-tick state); on
-            # resume the coordinator restores the full summary arrays
-            # from its own payload instead
-            max_junction_c, leak_w = kernel.initial_views_data()
-            self.shared.max_junction[self._sl] = max_junction_c
-            self.shared.leakage[self._sl] = leak_w
-            self.shared.slope[self._sl] = kernel.leakage_slope_w_per_c()
+        self._allocations = self.shared.allocations[lo:hi]
+        self._inlet = self.shared.inlet[lo:hi]
+        self._buf_inlet = self._buffers["inlet"]
+        self.server_step = ServerStep(
+            kernel,
+            self.bank,
+            self.plan,
+            self.shared.summary.view(lo, hi),
+            [self._buffers[name] for name in STEP_OUTPUT_COLUMNS],
+            self.dt_s,
+            on_trip=self._record_trip,
+        )
+        if state is None:
+            self.bank.reset(kernel.rpm)
+            self.server_step.seed()
+        else:
+            self.bank.load_state_arrays(state)
+            # the coordinator restored the checkpointed summary before
+            # any worker ran; the eager slope is recomputed from the
+            # restored kernel (the same post-step junctions)
+            self.server_step.publish_slope()
 
     def step(self, tick: int) -> None:  # reprolint: hot
-        """One tick over the shard slice: poll, physics, publish, spill."""
-        time_s = self.times[tick]
-        plan = self.plan
-        kernel = self.kernel
-        sl = self._sl
-        shared = self.shared
-
-        bank = self.bank
-        if bank.due(time_s):
-            bank.poll(time_s, self._junction_view, self._executed_view, kernel)
-
-        # a degraded fan bank caps the achievable rotor speed below the
-        # controller's command (the command itself is untouched)
-        if self.apply_faults and plan.has_fan_faults:
-            actuated_rpm = np.minimum(bank.rpm_command, plan.rpm_cap[tick][sl])
-        else:
-            actuated_rpm = bank.rpm_command
-
-        r = tick - self._chunk_start
-        air_capacity, leak_w = kernel.step_into(
-            self.dt_s,
-            self.substeps,
-            self.h,
-            shared.allocations[sl],
-            actuated_rpm,
-            shared.inlet[sl],
-            self._buf_power[r],
-            self._buf_fan[r],
-            self._buf_junction[r],
-            self._buf_util[r],
-            self._buf_rpm[r],
-            self._buf_pstate[r],
-            self._buf_deficit[r],
+        """One tick over the shard slice: server step, then spill."""
+        row = tick - self._chunk_start
+        self._buf_inlet[row] = self._inlet
+        self.server_step.step(
+            tick, self.times[tick], self._allocations, self._inlet, row
         )
-        if self.engine.trip_on_critical:
-            self._check_critical(self._buf_junction[r])
-
-        # publish the post-step summary rows the coordinator schedules
-        # from at the next tick (same expressions as the vector loop's
-        # state handoff; the slope is published eagerly — identical to
-        # the lazy provider, it reads the same post-step t_j)
-        shared.exhaust_rise[sl] = self._buf_power[r] / air_capacity
-        shared.executed[sl] = self._buf_util[r]
-        shared.max_junction[sl] = self._buf_junction[r]
-        shared.leakage[sl] = leak_w
-        shared.slope[sl] = kernel.leakage_slope_w_per_c()
-        shared.pstate[sl] = self._buf_pstate[r]
-
         if tick + 1 - self._chunk_start >= self.chunk_ticks or (
             tick + 1 == self.steps
         ):
             self._spill(tick + 1)
+
+    def _record_trip(self, *trip: float) -> None:
+        """Report ``(server, junction_c, threshold_c)`` to the coordinator."""
+        self.shared.trips[self.shard_id] = trip
 
     def mark_progress(self, tick: int) -> None:
         """Publish the completed-tick watermark and a heartbeat."""
@@ -494,23 +456,6 @@ class _ShardWorker:
             },
         )
 
-    def _check_critical(self, hottest: np.ndarray) -> None:
-        """Record a trip flag instead of raising (the coordinator raises).
-
-        Same selection as ``FleetVectorKernel.check_critical`` — the
-        first over-threshold server in index order — reported with the
-        global index so the coordinator can pick the globally-first
-        trip across shards and replicate the vector error message.
-        """
-        over = np.nonzero(hottest > self.kernel.critical_c)[0]
-        if over.size:
-            li = int(over[0])
-            self.shared.trip_server[self.shard_id] = self.lo + li
-            self.shared.trip_temp[self.shard_id] = float(hottest[li])
-            self.shared.trip_threshold[self.shard_id] = float(
-                self.kernel.critical_c[li]
-            )
-
     def _spill(self, stop_tick: int) -> None:
         """Write buffered rows ``[chunk_start, stop_tick)`` to disk."""
         rows = stop_tick - self._chunk_start
@@ -530,9 +475,11 @@ class _Coordinator:
 
     :meth:`begin_tick` runs the vector loop's supply / coupling /
     scheduling stage — the shared
-    :class:`~repro.fleet.stages.FleetPlacement` — over the gathered
-    full-width arrays and publishes its outputs (inlet, allocations)
-    for the workers.
+    :class:`~repro.fleet.stages.FleetPlacement` — over the shared
+    full-width :class:`~repro.fleet.stages.FleetSummary` and publishes
+    its outputs (inlet, allocations) for the workers; :meth:`end_tick`
+    feeds the executed work back to a queue-backed workload and seals
+    any checkpoint cut.
     """
 
     def __init__(
@@ -542,7 +489,6 @@ class _Coordinator:
         steps: int,
         plan: Optional["FleetFaultPlan"],
         shared: _SharedBlock,
-        inlet_writer: ShardTraceWriter,
         chunk_ticks: int,
         trace_writer: ShardedTraceWriter,
         checkpoint: Optional[CheckpointConfig] = None,
@@ -552,12 +498,9 @@ class _Coordinator:
         start_tick: int = 0,
     ) -> None:
         self.engine = engine
-        self.dt_s = dt_s
         self.steps = steps
         self.shared = shared
-        self.inlet_writer = inlet_writer
         self.chunk_ticks = chunk_ticks
-        self.trace_writer = trace_writer
         self.checkpoint = checkpoint
         self.ckpt_every_ticks = ckpt_every_ticks
         self.fingerprint: Dict[str, Any] = (
@@ -578,126 +521,75 @@ class _Coordinator:
                 "scheduler"
             ]
 
-        # coordinator-owned 1-D traces (O(steps), kept in RAM)
-        self.trace_unserved = np.empty(steps)
-        self.trace_respilled = np.zeros(steps)
-        self.trace_fault_unserved = np.zeros(steps)
+        #: Coordinator-owned per-tick scalar traces (O(steps), in RAM).
+        self.scalars = {
+            name: np.zeros(steps) for name in FLEET_SCALAR_TRACE_COLUMNS
+        }
+        self.trace_unserved = self.scalars["unserved"]
         self.placement = FleetPlacement(
             engine,
             dt_s,
             steps,
             plan,
-            self.trace_respilled,
-            self.trace_fault_unserved,
+            self.scalars["respilled"],
+            self.scalars["fault_unserved"],
         )
         if resume_dir is not None:
             restored = load_arrays(resume_dir, "coordinator")
-            t = self.start_tick
-            self.trace_unserved[:t] = restored["unserved"]
-            self.trace_respilled[:t] = restored["respilled"]
-            self.trace_fault_unserved[:t] = restored["fault_unserved"]
-            # the post-step summaries of the cut tick: restored *here*,
+            for name, values in self.scalars.items():
+                values[: self.start_tick] = restored[name]
+            # the carried state of the cut tick: restored *here*,
             # before any worker runs, so resumed workers skip their
             # initial publish
-            shared.exhaust_rise[:] = restored["exhaust_rise"]
-            shared.executed[:] = restored["executed"]
-            shared.max_junction[:] = restored["max_junction"]
-            shared.leakage[:] = restored["leakage"]
-            shared.slope[:] = restored["slope"]
-            shared.pstate[:] = restored["pstate"]
-
-        # inlet chunk buffer, spilled on the same boundaries as the
-        # workers' physics columns
-        self._buf_inlet = np.empty((chunk_ticks, n))
-        self._chunk_start = self.start_tick
+            shared.summary.load_state_arrays(restored)
 
         # capture tap: flushed from the read-side memory maps of the
         # freshly-spilled segments, on the capture's own chunk cadence
-        # (the writer chunk divides it, see run_sharded)
+        # (the writer chunk divides it, see run_sharded); on resume the
+        # first begin_tick replays the restored prefix
         self.capture = engine.capture
         self.times_rec = np.arange(1, steps + 1) * dt_s
-        self._flush_start = 0
         self._capture_cols: Dict[str, np.ndarray] = {}
         if self.capture is not None:
             self.capture.bind(n)
             self._capture_cols = {
                 name: trace_writer.read_view(name)
-                for name in ("power", "fan", "junction", "util", "inlet", "rpm")
+                for name in FLEET_TRACE_COLUMNS
             }
-            if self.start_tick > 0:
-                # replay the restored prefix through the tap in the
-                # exact flush slices the uninterrupted run used, so
-                # every downstream capture artifact is bit-identical
-                cap_chunk = int(self.capture.chunk_ticks)
-                target = ((self.start_tick - 1) // cap_chunk) * cap_chunk
-                while self._flush_start < target:
-                    self._capture_flush(self._flush_start + cap_chunk)
+
+    def _capture_through(self, stop: int) -> None:
+        """Flush the capture's due chunks of the rows below ``stop``."""
+        self.capture.flush_through(
+            stop,
+            self.steps,
+            self.times_rec,
+            self._capture_cols,
+            self.trace_unserved,
+        )
 
     def _raise_if_tripped(self) -> None:
         """Re-raise the globally-first critical trip, vector-style."""
-        tripped = self.shared.trip_server
-        hit = np.nonzero(tripped >= 0)[0]
-        if not hit.size:
-            return
-        shard = int(hit[np.argmin(tripped[hit])])
-        i = int(tripped[shard])
-        raise CriticalTemperatureError(
-            f"server {i} junction reached "
-            f"{self.shared.trip_temp[shard]:.1f} degC (critical threshold "
-            f"{self.shared.trip_threshold[shard]:.1f} degC)"
-        )
-
-    def _capture_flush(self, stop: int) -> None:
-        """Hand trace rows ``[flush_start, stop)`` to the capture tap."""
-        start = self._flush_start
-        self.capture.flush(
-            self.times_rec[start:stop],
-            {
-                name: np.asarray(col[start:stop])
-                for name, col in self._capture_cols.items()
-            },
-            unserved_pct=self.trace_unserved[start:stop],
-        )
-        self._flush_start = stop
+        servers = self.shared.trips[:, 0]
+        if (servers >= 0).any():
+            first = servers[servers >= 0].min()
+            _, junction_c, threshold_c = self.shared.trips[servers == first][0]
+            raise_critical_trip(int(first), junction_c, threshold_c)
 
     def begin_tick(self, tick: int) -> None:  # reprolint: hot
         """Trip check, capture flush, then schedule + publish tick inputs."""
         self._raise_if_tripped()
-        if (
-            self.capture is not None
-            and tick - self._flush_start >= self.capture.chunk_ticks
-        ):
-            self._capture_flush(tick)
+        if self.capture is not None:
+            self._capture_through(tick)
 
         shared = self.shared
         placement = self.placement
-        inlet, _ = placement.inlet(tick, shared.exhaust_rise)
-        decision = placement.assign(
-            tick,
-            FleetLoadArrays(
-                utilization_pct=shared.executed,
-                max_junction_c=shared.max_junction,
-                inlet_c=inlet,
-                leakage_w=shared.leakage,
-                pstate_index=shared.pstate,
-                rack_index=placement.rack_index,
-                leakage_slope_w_per_c=shared.slope,
-            ),
-        )
+        summary = shared.summary
+        inlet, _ = placement.inlet(tick, summary.exhaust_rise)
+        decision = placement.place(tick, inlet, summary)
 
         shared.inlet[:] = inlet
         shared.allocations[:] = decision.allocations_pct
         self.trace_unserved[tick] = decision.unserved_pct
-
-        r = tick - self._chunk_start
-        self._buf_inlet[r] = inlet
-        if tick + 1 - self._chunk_start >= self.chunk_ticks or (
-            tick + 1 == self.steps
-        ):
-            self.inlet_writer.record_chunk(
-                self._chunk_start, {"inlet": self._buf_inlet[: r + 1]}
-            )
-            self._chunk_start = tick + 1
 
     def maybe_request_checkpoint(self, tick: int) -> None:
         """Announce a cut after ``tick`` if one is due at its boundary.
@@ -723,22 +615,38 @@ class _Coordinator:
         self._ckpt_writer = CheckpointWriter(self.checkpoint.root, t1)
         self.shared.ckpt_tick[0] = t1
 
-    def maybe_commit_checkpoint(self, tick: int) -> Optional[str]:
-        """Seal the cut announced for ``tick``, if any; return its path.
+    def end_tick(self, tick: int) -> bool:
+        """Close ``tick``; return whether a requested stop happens here.
 
-        Runs after the "done" barrier every tick; the fast path is two
-        scalar reads and must stay allocation-free (registered in the
-        reprolint hot-path config).  Sealing is cold-path work in
-        :meth:`_seal_cut`.
+        Runs after the "done" barrier every tick: the workload records
+        the executed utilization the workers just published (the vector
+        loop's order), then the cut announced for ``tick``, if any, is
+        sealed.  With checkpointing, a stop waits for a sealed cut.  The
+        fast path is a few scalar reads and must stay allocation-free
+        (registered in the reprolint hot-path config); sealing is
+        cold-path work in :meth:`_seal_cut`.
         """
-        if self.checkpoint is None:
-            return None
+        self.placement.record(tick, self.shared.summary.executed)
         t1 = tick + 1
-        if int(self.shared.ckpt_tick[0]) != t1:
-            return None
-        return self._seal_cut(t1)
+        sealed = (
+            self.checkpoint is not None and int(self.shared.ckpt_tick[0]) == t1
+        )
+        if sealed:
+            self._seal_cut(t1)
+        return (
+            self.engine._stop_requested
+            and t1 < self.steps
+            and (self.checkpoint is None or sealed)
+        )
 
-    def _seal_cut(self, t1: int) -> str:
+    def interrupted(self, tick: int) -> RunInterrupted:
+        """The cooperative stop after ``tick``, naming the last checkpoint."""
+        return RunInterrupted(
+            f"sharded run stopped at tick {tick + 1}/{self.steps}",
+            self.engine.last_checkpoint_path,
+        )
+
+    def _seal_cut(self, t1: int) -> None:
         """Complete and atomically commit the cut announced for ``t1``.
 
         Every worker's slice snapshot is already staged (the "done"
@@ -748,20 +656,10 @@ class _Coordinator:
         """
         writer = self._ckpt_writer
         assert writer is not None
-        writer.arrays(
-            "coordinator",
-            {
-                "unserved": self.trace_unserved[:t1].copy(),
-                "respilled": self.trace_respilled[:t1].copy(),
-                "fault_unserved": self.trace_fault_unserved[:t1].copy(),
-                "exhaust_rise": np.array(self.shared.exhaust_rise),
-                "executed": np.array(self.shared.executed),
-                "max_junction": np.array(self.shared.max_junction),
-                "leakage": np.array(self.shared.leakage),
-                "slope": np.array(self.shared.slope),
-                "pstate": np.array(self.shared.pstate),
-            },
-        )
+        arrays = self.shared.summary.state_arrays()
+        for name, values in self.scalars.items():
+            arrays[name] = values[:t1].copy()
+        writer.arrays("coordinator", arrays)
         writer.pickle("coordinator", {"scheduler": self.engine.scheduler})
         path = writer.commit(
             "fleet-sharded",
@@ -773,14 +671,12 @@ class _Coordinator:
         self._ckpt_writer = None
         self.engine.last_checkpoint_path = path
         self.engine._checkpoint_requested = False
-        return str(path)
 
     def finish(self) -> None:
         """Post-loop trip check and the final capture flush."""
         self._raise_if_tripped()
         if self.capture is not None:
-            self._capture_flush(self.steps)
-        self.inlet_writer.close()
+            self._capture_through(self.steps)
 
 
 def _worker_main(
@@ -881,7 +777,6 @@ def _drive_inline(
     start_tick: int = 0,
 ) -> None:
     """Sequential driver: same shard objects, no processes, no barriers."""
-    engine = coordinator.engine
     try:
         for worker in workers:
             worker.setup()
@@ -893,16 +788,8 @@ def _drive_inline(
                 worker.step(tick)
             for worker in workers:
                 worker.maybe_checkpoint(tick)
-            path = coordinator.maybe_commit_checkpoint(tick)
-            if (
-                engine._stop_requested
-                and tick + 1 < steps
-                and (coordinator.checkpoint is None or path is not None)
-            ):
-                raise RunInterrupted(
-                    f"sharded run stopped at tick {tick + 1}/{steps}",
-                    engine.last_checkpoint_path,
-                )
+            if coordinator.end_tick(tick):
+                raise coordinator.interrupted(tick)
         coordinator.finish()
     finally:
         for worker in workers:
@@ -954,7 +841,6 @@ def _drive_process(
     timeout_s: float = _BARRIER_TIMEOUT_FLOOR_S,
 ) -> None:
     """Forked driver: one process per shard, two barriers per tick."""
-    engine = coordinator.engine
     ctx = multiprocessing.get_context("fork")
     go = ctx.Barrier(len(workers) + 1)
     done = ctx.Barrier(len(workers) + 1)
@@ -1007,19 +893,12 @@ def _drive_process(
                 raise
             wait(go, tick)
             wait(done, tick)
-            path = coordinator.maybe_commit_checkpoint(tick)
+            stop = coordinator.end_tick(tick)
             if CHAOS_COORDINATOR_HOOK is not None:
                 CHAOS_COORDINATOR_HOOK(tick)
-            if (
-                engine._stop_requested
-                and tick + 1 < steps
-                and (coordinator.checkpoint is None or path is not None)
-            ):
+            if stop:
                 release_into_stop()
-                raise RunInterrupted(
-                    f"sharded run stopped at tick {tick + 1}/{steps}",
-                    engine.last_checkpoint_path,
-                )
+                raise coordinator.interrupted(tick)
         coordinator.finish()
     finally:
         stop_watch.set()
@@ -1229,7 +1108,7 @@ def run_sharded(
                 plan,
                 dt_s,
                 steps,
-                writer.shard_writer(lo, hi, columns=_WORKER_COLUMNS),
+                writer.shard_writer(lo, hi),
                 chunk_ticks,
                 times,
                 barrier_timeout_s=timeout_s,
@@ -1247,7 +1126,6 @@ def run_sharded(
             steps,
             plan,
             shared,
-            writer.shard_writer(0, n, columns=("inlet",)),
             chunk_ticks,
             writer,
             checkpoint=ckpt_cfg,
@@ -1301,24 +1179,16 @@ def run_sharded(
                 engine.last_resume_tick = attempt_start
                 engine.last_checkpoint_path = latest
 
-        writer.write_scalar("unserved", coordinator.trace_unserved)
-        writer.write_scalar("respilled", coordinator.trace_respilled)
-        writer.write_scalar(
-            "fault_unserved", coordinator.trace_fault_unserved
-        )
+        for name, values in coordinator.scalars.items():
+            writer.write_scalar(name, values)
         if plan is not None:
             writer.write_fault_active(plan.fault_active)
-        controller_names = {c.name for c in engine.controllers}
         writer.finalize(
             {
                 "backend": "sharded",
                 "dt_s": dt_s,
                 "scheduler": engine.scheduler.name,
-                "controller": (
-                    controller_names.pop()
-                    if len(controller_names) == 1
-                    else "mixed"
-                ),
+                "controller": engine._controller_label(),
                 "shard_bounds": [list(b) for b in bounds],
                 "shard_mode": mode,
             }

@@ -4,9 +4,9 @@ Steps every server in the fleet through the same tick sequence the
 single-server :class:`~repro.server.server.ServerSimulator` uses:
 CRAC supply → recirculation inlet → placement ranking → capacity fill
 (with the outage respill) → controller polls → RC physics.  The
-placement and controller-poll stages have one implementation,
-:mod:`repro.fleet.stages`, shared by every backend; the backends
-differ only in who steps the physics.
+placement stage and the per-server step (poll, physics, carried
+state) have one implementation, :mod:`repro.fleet.stages`, shared by
+every backend; the backends differ only in who steps the physics.
 
 Three backends are available:
 
@@ -59,6 +59,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -89,22 +90,41 @@ from repro.engine.kernel import FleetVectorKernel, settle_cold
 from repro.fleet.faults import FaultSchedule, FleetFaultPlan
 from repro.fleet.metrics import FleetMetrics, compute_fleet_metrics
 from repro.fleet.scheduler import (
-    FleetLoadArrays,
     FleetScheduler,
     FleetWorkload,
     RoundRobinPolicy,
 )
-from repro.fleet.stages import ControllerBank, FleetPlacement
+from repro.fleet.stages import (
+    STEP_OUTPUT_COLUMNS,
+    ControllerBank,
+    FleetPlacement,
+    FleetSummary,
+    ServerStep,
+)
 from repro.fleet.topology import Fleet, RecirculationAmbient
 from repro.server.power import leakage_slope_w_per_c
 from repro.server.server import ServerSimulator
-from repro.server.thermal import substep_schedule
+from repro.telemetry.segments import (
+    FLEET_SCALAR_TRACE_COLUMNS,
+    FLEET_TRACE_COLUMNS,
+    FLEET_TRACE_DTYPES,
+)
 from repro.units import airflow_heat_capacity_w_per_k
 from repro.workloads.profile import UtilizationProfile
 
 #: Checkpoint kind of the vector/reference tick loop (the run
 #: fingerprint pins the backend on top of it).
 _CHECKPOINT_KIND = "fleet-vector"
+
+#: Metrics-registry timers of the tick loop: setup, then the per-tick
+#: placement, poll, physics and capture phases.
+_LOOP_TIMERS = (
+    ("repro_fleet_setup", "Run setup: stepper build, controller reset, placement"),
+    ("repro_fleet_placement", "Placement policy + scheduler assignment"),
+    ("repro_fleet_control_poll", "Controller polls (fan + p-state decisions)"),
+    ("repro_fleet_thermal_step", "Vectorized physics step (RC substeps + power)"),
+    ("repro_fleet_trace_write", "Capture flushes into the timeseries store"),
+)
 
 
 class _ReferenceBackend:
@@ -136,6 +156,10 @@ class _ReferenceBackend:
                 zip(fleet.servers, fleet.supply_models())
             )
         ]
+        #: Per-server trip thresholds, °C (the sims also trip themselves).
+        self.critical_c = np.array(
+            [spec.critical_temperature_c for spec in fleet.servers]
+        )
 
     @property
     def rpm(self) -> np.ndarray:
@@ -246,9 +270,6 @@ class _ReferenceBackend:
             raise ValueError("airflow must be positive to carry exhaust heat")
         return airflow_heat_capacity_w_per_k(airflow), self._leakage_w()
 
-    def check_critical(self, trip: bool) -> None:
-        """The wrapped simulators trip during :meth:`step_into` themselves."""
-
     def checkpoint_state(self) -> Tuple[Dict[str, np.ndarray], object]:
         """``(arrays, objects)``: the simulators, pickled whole."""
         return {}, self.sims
@@ -315,6 +336,59 @@ class FleetResult:
         """
         return np.cumsum(self.work_deficit_pct * self.dt_s, axis=0)
 
+    @classmethod
+    def from_traces(
+        cls,
+        fleet: Fleet,
+        dt_s: float,
+        trace: Mapping[str, np.ndarray],
+        fault_active: np.ndarray,
+        scheduler_name: str,
+        controller_name: str,
+        backend: str,
+    ) -> "FleetResult":
+        """Result and metrics of a finished trace block.
+
+        *trace* maps every ``FLEET_TRACE_COLUMNS`` and
+        ``FLEET_SCALAR_TRACE_COLUMNS`` name to its column: the in-RAM
+        block of the tick loop or the streamed segments of the sharded
+        backend.
+        """
+        metrics = compute_fleet_metrics(
+            fleet,
+            dt_s,
+            trace["power"],
+            trace["fan"],
+            trace["junction"],
+            trace["util"],
+            trace["inlet"],
+            trace["unserved"],
+            work_deficit_pct=trace["deficit"],
+            fault_active=fault_active,
+            respilled_pct=trace["respilled"],
+            fault_unserved_pct=trace["fault_unserved"],
+        )
+        return cls(
+            scheduler_name=scheduler_name,
+            controller_name=controller_name,
+            backend=backend,
+            dt_s=dt_s,
+            times_s=np.arange(1, len(trace["unserved"]) + 1) * dt_s,
+            total_power_w=trace["power"],
+            fan_power_w=trace["fan"],
+            max_junction_c=trace["junction"],
+            utilization_pct=trace["util"],
+            inlet_c=trace["inlet"],
+            mean_rpm=trace["rpm"],
+            unserved_pct=trace["unserved"],
+            pstate_index=trace["pstate"],
+            work_deficit_pct=trace["deficit"],
+            metrics=metrics,
+            fault_active=fault_active,
+            respilled_pct=trace["respilled"],
+            fault_unserved_pct=trace["fault_unserved"],
+        )
+
 
 @dataclass(frozen=True)
 class FleetTickView:
@@ -376,13 +450,8 @@ class FleetEngine:
             )
         # Dynamic workloads (e.g. the facility WorkloadQueue) evaluate
         # demand tick by tick against mutable queue state, which the
-        # sharded coordinator does not replicate and the checkpoint
-        # writer does not persist — reject both up front.
-        if workload.dynamic and backend == "sharded":
-            raise ValueError(
-                "dynamic workloads are not supported on the sharded "
-                "backend; use 'vector' or 'reference'"
-            )
+        # checkpoint writer does not persist — reject checkpointing up
+        # front (every backend runs them).
         if workload.dynamic and checkpoint is not None:
             raise ValueError(
                 "dynamic workloads cannot be checkpointed: queue state "
@@ -511,6 +580,11 @@ class FleetEngine:
                 f"{ladder_length}-state ladder"
             )
         return int(pstate)
+
+    def _controller_label(self) -> str:
+        """The controllers' common name, or ``"mixed"``."""
+        names = {controller.name for controller in self.controllers}
+        return names.pop() if len(names) == 1 else "mixed"
 
     # ------------------------------------------------------------------
     # checkpoint / cooperative-stop plumbing
@@ -740,104 +814,36 @@ class FleetEngine:
                     unserved_pct=float(trace["unserved"][tick]),
                     replayed=tick < self.last_resume_tick,
                 )
-            self.last_result = self._result_from_traces(
-                dt_s, steps, trace, plan
+            if plan is not None:
+                fault_active = plan.fault_active
+            else:
+                fault_active = np.zeros(trace["power"].shape, dtype=bool)
+            self.last_result = FleetResult.from_traces(
+                self.fleet,
+                dt_s,
+                trace,
+                fault_active,
+                scheduler_name=self.scheduler.name,
+                controller_name=self._controller_label(),
+                backend=self.backend,
             )
 
         return stream()
 
     # ------------------------------------------------------------------
-    # traces and results
+    # traces
     # ------------------------------------------------------------------
     def _alloc_traces(self, steps: int) -> Dict[str, np.ndarray]:
         """Preallocate the whole-horizon trace block for one run."""
         n = self.fleet.server_count
-        return {
-            "power": np.empty((steps, n)),
-            "fan": np.empty((steps, n)),
-            "junction": np.empty((steps, n)),
-            "util": np.empty((steps, n)),
-            "inlet": np.empty((steps, n)),
-            "rpm": np.empty((steps, n)),
-            "unserved": np.empty(steps),
-            "pstate": np.empty((steps, n), dtype=int),
-            "deficit": np.empty((steps, n)),
-            "respilled": np.zeros(steps),
-            "fault_unserved": np.zeros(steps),
+        trace = {
+            name: np.empty((steps, n), dtype=FLEET_TRACE_DTYPES[name])
+            for name in FLEET_TRACE_COLUMNS
         }
-
-    def _result_from_traces(
-        self,
-        dt_s: float,
-        steps: int,
-        trace: Dict[str, np.ndarray],
-        plan: Optional[FleetFaultPlan],
-    ) -> FleetResult:
-        fault_active = (
-            plan.fault_active
-            if plan is not None
-            else np.zeros((steps, self.fleet.server_count), dtype=bool)
+        trace.update(
+            (name, np.zeros(steps)) for name in FLEET_SCALAR_TRACE_COLUMNS
         )
-        metrics = compute_fleet_metrics(
-            self.fleet,
-            dt_s,
-            trace["power"],
-            trace["fan"],
-            trace["junction"],
-            trace["util"],
-            trace["inlet"],
-            trace["unserved"],
-            work_deficit_pct=trace["deficit"],
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
-        )
-        controller_names = {c.name for c in self.controllers}
-        return FleetResult(
-            scheduler_name=self.scheduler.name,
-            controller_name=(
-                controller_names.pop()
-                if len(controller_names) == 1
-                else "mixed"
-            ),
-            backend=self.backend,
-            dt_s=dt_s,
-            times_s=np.arange(1, steps + 1) * dt_s,
-            total_power_w=trace["power"],
-            fan_power_w=trace["fan"],
-            max_junction_c=trace["junction"],
-            utilization_pct=trace["util"],
-            inlet_c=trace["inlet"],
-            mean_rpm=trace["rpm"],
-            unserved_pct=trace["unserved"],
-            pstate_index=trace["pstate"],
-            work_deficit_pct=trace["deficit"],
-            metrics=metrics,
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
-        )
-
-    def _capture_flush(
-        self,
-        times_rec: np.ndarray,
-        trace: Dict[str, np.ndarray],
-        start: int,
-        stop: int,
-    ) -> None:
-        """Hand trace rows ``[start, stop)`` to the capture tap."""
-        self.capture.flush(
-            times_rec[start:stop],
-            {
-                "power": trace["power"][start:stop],
-                "fan": trace["fan"][start:stop],
-                "junction": trace["junction"][start:stop],
-                "util": trace["util"][start:stop],
-                "inlet": trace["inlet"][start:stop],
-                "rpm": trace["rpm"][start:stop],
-            },
-            unserved_pct=trace["unserved"][start:stop],
-        )
+        return trace
 
     # ------------------------------------------------------------------
     # the tick loop (backends "vector" and "reference")
@@ -864,7 +870,6 @@ class FleetEngine:
         controller, scheduler and fault-channel state — the completed
         trace is bit-identical to an uninterrupted run.
         """
-        n = self.fleet.server_count
         start_tick = 0
         restored = None
         if resume_from is not None:
@@ -883,6 +888,11 @@ class FleetEngine:
         # the reference stepper derives each inlet itself, from the
         # loop's offsets and excursions; the kernel takes the inlet
         feed_inlet_terms = getattr(physics, "set_inlet_terms", None)
+        timers = None
+        if self.metrics is not None:
+            setup_timer, *timers = (
+                self.metrics.timer(name, text) for name, text in _LOOP_TIMERS
+            )
         bank = ControllerBank(self, self.controllers, plan)
         placement = FleetPlacement(
             self,
@@ -892,82 +902,44 @@ class FleetEngine:
             trace["respilled"],
             trace["fault_unserved"],
         )
-        rack_of = placement.rack_index
-        times_list = placement.times
-        substeps, h = substep_schedule(dt_s)
-
+        # the leakage slope only feeds leakage-aware rankings / view
+        # fallbacks — computed lazily from the pre-step fleet state
+        n = self.fleet.server_count
+        summary = FleetSummary(
+            *(np.zeros(n) for _ in range(4)),
+            np.zeros(n, dtype=np.int64),
+            slope_fn=physics.leakage_slope_w_per_c,
+        )
+        server_step = ServerStep(
+            physics,
+            bank,
+            plan,
+            summary,
+            [trace[name] for name in STEP_OUTPUT_COLUMNS],
+            dt_s,
+            timers=timers[1:3] if timers is not None else None,
+        )
         if restored is not None:
             bank.load_state_arrays(restored)
-            executed = restored["executed"].copy()
-            pstate_now = restored["pstate_now"].copy()
-            exhaust_rise = restored["exhaust_rise"].copy()
-            max_junction_c = restored["max_junction"].copy()
-            leak_w = restored["leak_w"].copy()
+            summary.load_state_arrays(restored)
         else:
             self.scheduler.reset()
             bank.reset(physics.rpm)
-            executed = np.zeros(n)
-            pstate_now = np.zeros(n, dtype=int)
-            exhaust_rise = np.zeros(n)
-            max_junction_c, leak_w = physics.initial_views_data()
+            server_step.seed()
         if self.metrics is not None:
-            self.metrics.timer(
-                "repro_fleet_setup",
-                "Run setup: stepper build, controller reset, placement",
-            ).add(perf_counter() - setup_t0)
-        # the leakage slope only feeds leakage-aware rankings / view
-        # fallbacks — computed lazily from the pre-step fleet state
-        slope_fn = physics.leakage_slope_w_per_c
-
-        trace_power = trace["power"]
-        trace_fan = trace["fan"]
-        trace_junction = trace["junction"]
-        trace_util = trace["util"]
+            setup_timer.add(perf_counter() - setup_t0)
         trace_inlet = trace["inlet"]
-        trace_rpm = trace["rpm"]
         trace_unserved = trace["unserved"]
-        trace_pstate = trace["pstate"]
-        trace_deficit = trace["deficit"]
 
-        apply_faults = plan is not None
-        dynamic_demand = self.workload.dynamic
-
-        # Observability taps — both None in plain batch runs, in which
-        # case the loop body takes the exact pre-existing path.
+        # Observability tap (None in plain batch runs).  On resume the
+        # restored prefix is replayed into it before the replayed ticks
+        # are yielded, so the store is whole when consumers see them.
         capture = self.capture
         times_rec = np.arange(1, steps + 1) * dt_s
-        flush_start = 0
-        chunk_ticks = capture.chunk_ticks if capture is not None else 0
         if capture is not None:
             capture.bind(n)
-            # Replay the restored trace prefix through the capture tap
-            # in the exact chunk slices the uninterrupted run flushed:
-            # the store (lost with the interrupted process) is rebuilt
-            # bit-identically, and flush_start lands where it would be.
-            while flush_start + chunk_ticks <= start_tick:
-                self._capture_flush(
-                    times_rec, trace, flush_start, flush_start + chunk_ticks
-                )
-                flush_start += chunk_ticks
-        timers = None
-        if self.metrics is not None:
-            timers = (
-                self.metrics.timer(
-                    "repro_fleet_placement",
-                    "Placement policy + scheduler assignment",
-                ),
-                self.metrics.timer(
-                    "repro_fleet_control_poll",
-                    "Controller polls (fan + p-state decisions)",
-                ),
-                self.metrics.timer(
-                    "repro_fleet_thermal_step",
-                    "Vectorized physics step (RC substeps + power)",
-                ),
-                self.metrics.timer(
-                    "repro_fleet_trace_write",
-                    "Capture flushes into the timeseries store",
-                ),
+            capture.flush_through(
+                start_tick, steps, times_rec, trace, trace_unserved
             )
 
         ckpt_cfg = self.checkpoint
@@ -977,8 +949,8 @@ class FleetEngine:
             yield tick, times_rec[tick]
 
         for tick in range(start_tick, steps):
-            time_s = times_list[tick]
-            inlet, offsets = placement.inlet(tick, exhaust_rise)
+            time_s = placement.times[tick]
+            inlet, offsets = placement.inlet(tick, summary.exhaust_rise)
             if feed_inlet_terms is not None:
                 feed_inlet_terms(
                     offsets,
@@ -987,76 +959,27 @@ class FleetEngine:
 
             if timers is not None:
                 _t0 = perf_counter()
-            decision = placement.assign(
-                tick,
-                FleetLoadArrays(
-                    utilization_pct=executed,
-                    max_junction_c=max_junction_c,
-                    inlet_c=inlet,
-                    leakage_w=leak_w,
-                    pstate_index=pstate_now,
-                    rack_index=rack_of,
-                    leakage_slope_fn=slope_fn,
-                ),
-            )
+            decision = placement.place(tick, inlet, summary)
             if timers is not None:
                 timers[0].add(perf_counter() - _t0)
 
-            if bank.due(time_s):
-                if timers is not None:
-                    _t0 = perf_counter()
-                bank.poll(time_s, max_junction_c, executed, physics)
-                if timers is not None:
-                    timers[1].add(perf_counter() - _t0)
-
-            # a degraded fan bank caps the achievable rotor speed below
-            # the controller's command (the command itself is untouched)
-            if apply_faults and plan.has_fan_faults:
-                actuated_rpm = np.minimum(bank.rpm_command, plan.rpm_cap[tick])
-            else:
-                actuated_rpm = bank.rpm_command
-
-            if timers is not None:
-                _t0 = perf_counter()
-            air_capacity, leak_w = physics.step_into(
-                dt_s,
-                substeps,
-                h,
-                decision.allocations_pct,
-                actuated_rpm,
-                inlet,
-                trace_power[tick],
-                trace_fan[tick],
-                trace_junction[tick],
-                trace_util[tick],
-                trace_rpm[tick],
-                trace_pstate[tick],
-                trace_deficit[tick],
+            server_step.step(
+                tick, time_s, decision.allocations_pct, inlet, tick
             )
-            physics.check_critical(self.trip_on_critical)
-
-            max_junction_c = trace_junction[tick]
-            executed = trace_util[tick]
-            pstate_now = trace_pstate[tick]
-            # exhaust_temperature_rise_c, with the already-computed
-            # stream heat capacity (identical expression and operands)
-            exhaust_rise = trace_power[tick] / air_capacity
             trace_inlet[tick] = inlet
             trace_unserved[tick] = decision.unserved_pct
-            if dynamic_demand:
-                self.workload.record_executed(
-                    time_s, float(executed.sum()), dt_s
-                )
+            if timers is not None:
+                _t0 = perf_counter()
+            placement.record(tick, summary.executed)
             if timers is not None:
                 timers[2].add(perf_counter() - _t0)
 
-            if capture is not None and (
-                tick + 1 - flush_start >= chunk_ticks or tick + 1 == steps
-            ):
+            if capture is not None:
                 if timers is not None:
                     _t0 = perf_counter()
-                self._capture_flush(times_rec, trace, flush_start, tick + 1)
-                flush_start = tick + 1
+                capture.flush_through(
+                    tick + 1, steps, times_rec, trace, trace_unserved
+                )
                 if timers is not None:
                     timers[3].add(perf_counter() - _t0)
 
@@ -1072,13 +995,7 @@ class FleetEngine:
                 arrays, objects = physics.checkpoint_state()
                 state = {f"kernel_{key}": value for key, value in arrays.items()}
                 state.update(bank.state_arrays())
-                state.update(
-                    executed=np.array(executed),
-                    pstate_now=np.array(pstate_now),
-                    exhaust_rise=np.array(exhaust_rise),
-                    max_junction=np.array(max_junction_c),
-                    leak_w=np.array(leak_w),
-                )
+                state.update(summary.state_arrays())
                 self._write_run_checkpoint(
                     _CHECKPOINT_KIND,
                     tick + 1,

@@ -1,34 +1,57 @@
-"""The placement and controller-poll stages of the fleet tick.
+"""The per-tick stages of the fleet tick, shared by every backend.
 
 Every fleet backend runs the same sequence per tick: CRAC supply →
 recirculation inlet → rank → assign/respill → controller poll → RC
-physics.  The physics belongs to the stepper (the vector kernel, the
-per-simulator reference stepper, or a shard's kernel slice); the
-stages before it are implemented once, here, and shared by the
-``vector``/``reference`` tick loop of
+physics → carried state.  The physics belongs to the stepper (the
+vector kernel, the per-simulator reference stepper, or a shard's
+kernel slice); everything around it is implemented once, here, and
+shared by the ``vector``/``reference`` tick loop of
 :class:`~repro.fleet.engine.FleetEngine` and by the sharded backend
-(:mod:`repro.engine.sharded`): :class:`FleetPlacement` is the
-whole-fleet control plane, :class:`ControllerBank` polls a contiguous
-slice of per-server controllers.
+(:mod:`repro.engine.sharded`):
+
+* :class:`FleetPlacement` is the whole-fleet control plane (supply,
+  coupling, ranking, fill, outage respill) and the only caller of the
+  workload;
+* :class:`ControllerBank` polls a contiguous slice of per-server
+  controllers;
+* :class:`ServerStep` is the per-server half of a tick over a slice:
+  poll, fan-fault cap, physics into trace rows, critical trip, and
+  the publish of the slice's :class:`FleetSummary`, the state one
+  tick hands the next.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from math import isnan
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from time import perf_counter
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.core.controllers.base import ControllerObservation, FanController
 from repro.core.controllers.coordinated import CoordinatedController
 from repro.core.controllers.lut import LUTController
+from repro.engine.checkpoint import CheckpointError
 from repro.engine.kernel import POLL_EPS_S, plan_tick_times
 from repro.fleet.scheduler import (
     FleetLoadArrays,
     SchedulingDecision,
     ServerLoadView,
 )
+from repro.server.server import CriticalTemperatureError
+from repro.server.thermal import substep_schedule
+from repro.telemetry.segments import FLEET_TRACE_COLUMNS
 
 if TYPE_CHECKING:  # annotation-only; avoids an import cycle at runtime
     from repro.fleet.engine import FleetEngine
@@ -53,13 +76,78 @@ def _build_views(arrays: FleetLoadArrays) -> List[ServerLoadView]:
     ]
 
 
+#: The trace columns :meth:`FleetVectorKernel.step_into` writes, in its
+#: positional order: every per-server column but the placement inlet.
+STEP_OUTPUT_COLUMNS = tuple(c for c in FLEET_TRACE_COLUMNS if c != "inlet")
+
+
+def raise_critical_trip(
+    server: int, junction_c: float, threshold_c: float
+) -> None:
+    """Trip the run on *server*: the one fleet critical-trip message."""
+    raise CriticalTemperatureError(
+        f"server {server} junction reached {junction_c:.1f} degC "
+        f"(critical threshold {threshold_c:.1f} degC)"
+    )
+
+
+@dataclass(eq=False)
+class FleetSummary:
+    """The per-server state one tick hands the next.
+
+    What placement ranks on and the controller poll observes: one
+    ``(N,)`` array per field (or a contiguous slice of one, see
+    :meth:`view`), published in place by :class:`ServerStep` after
+    every physics step, so the sharded backend can keep it in shared
+    memory.  The leakage slope is an eager ``slope`` array in shard
+    workers (the coordinator ranks without the kernels) and the lazy
+    ``slope_fn`` of the stepper in-process.
+    """
+
+    exhaust_rise: np.ndarray
+    executed: np.ndarray
+    max_junction: np.ndarray
+    leakage: np.ndarray
+    pstate: np.ndarray
+    slope: Optional[np.ndarray] = None
+    slope_fn: Optional[Callable[[], np.ndarray]] = None
+
+    #: The checkpointed arrays, one schema for every backend (the slope
+    #: is recomputed from the restored physics).
+    FIELDS = ("exhaust_rise", "executed", "max_junction", "leakage", "pstate")
+
+    def view(self, lo: int, hi: int) -> "FleetSummary":
+        """Servers ``[lo, hi)`` as views into the same storage."""
+        return FleetSummary(
+            *(getattr(self, name)[lo:hi] for name in self.FIELDS),
+            slope=None if self.slope is None else self.slope[lo:hi],
+            slope_fn=self.slope_fn,
+        )
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """Copies of the :attr:`FIELDS` arrays, for checkpointing."""
+        return {name: np.array(getattr(self, name)) for name in self.FIELDS}
+
+    def load_state_arrays(self, state: Dict[str, np.ndarray]) -> None:
+        """Restore :meth:`state_arrays` output in place."""
+        for name in self.FIELDS:
+            if name not in state:
+                raise CheckpointError(
+                    f"checkpoint lacks the carried-state array {name!r} "
+                    "(written by an older version?)"
+                )
+            getattr(self, name)[...] = state[name]
+
+
 class FleetPlacement:
     """Supply → inlet and rank → assign → respill over the whole fleet.
 
     Built once per run, after any checkpoint restore has swapped in the
     engine's scheduler.  Outage ticks write their respilled work and
     fault-attributable unserved demand into the caller's ``respilled``
-    / ``fault_unserved`` traces.
+    / ``fault_unserved`` traces.  It is the only caller of the
+    workload: demand in :meth:`assign`, the executed-work feedback of
+    queue-backed workloads in :meth:`record`.
     """
 
     def __init__(
@@ -74,6 +162,7 @@ class FleetPlacement:
         fleet = engine.fleet
         n = fleet.server_count
         self.n = n
+        self.dt_s = dt_s
         self.scheduler = engine.scheduler
         self.workload = engine.workload
         self.plan = plan
@@ -168,6 +257,29 @@ class FleetPlacement:
             0.0, decision.unserved_pct - counterfactual.unserved_pct
         )
         return decision
+
+    def place(
+        self, tick: int, inlet: np.ndarray, summary: FleetSummary
+    ) -> SchedulingDecision:
+        """:meth:`assign` on the carried state and ``tick``'s inlet."""
+        arrays = FleetLoadArrays(
+            utilization_pct=summary.executed,
+            max_junction_c=summary.max_junction,
+            inlet_c=inlet,
+            leakage_w=summary.leakage,
+            pstate_index=summary.pstate,
+            rack_index=self.rack_index,
+            leakage_slope_w_per_c=summary.slope,
+            leakage_slope_fn=summary.slope_fn,
+        )
+        return self.assign(tick, arrays)
+
+    def record(self, tick: int, executed: np.ndarray) -> None:
+        """Feed a queue-backed workload the work executed at ``tick``."""
+        if self.totals is None:
+            self.workload.record_executed(
+                self.times[tick], float(executed.sum()), self.dt_s
+            )
 
 
 class _LUTFilter:
@@ -491,3 +603,115 @@ class ControllerBank:
             np.add(next_poll, interval, out=next_poll, where=lag)
             lag = time_s >= next_poll - POLL_EPS_S
         self.next_poll_due = next_poll.min()
+
+
+class ServerStep:
+    """The per-server half of one tick, over the servers of one bank.
+
+    Polls the :class:`ControllerBank` on the carried
+    :class:`FleetSummary`, caps the commands of degraded fan banks,
+    steps the physics into row ``row`` of the caller's
+    :data:`STEP_OUTPUT_COLUMNS` blocks (the whole-horizon trace
+    in-process, a chunk buffer in a shard worker), checks the hottest
+    junctions just written against their critical thresholds, and
+    publishes the summary the next tick reads.  A trip calls
+    ``on_trip(server, junction_c, threshold_c)`` for the first server
+    over its threshold (global index); shard workers record it for the
+    coordinator instead of raising.  ``timers`` are the optional
+    (poll, physics) metrics-registry timers.
+    """
+
+    def __init__(
+        self,
+        physics: Any,
+        bank: ControllerBank,
+        plan: Optional["FleetFaultPlan"],
+        summary: FleetSummary,
+        columns: Sequence[np.ndarray],
+        dt_s: float,
+        on_trip: Callable[[int, float, float], None] = raise_critical_trip,
+        timers: Optional[Sequence[Any]] = None,
+    ) -> None:
+        self.physics = physics
+        self.bank = bank
+        self.summary = summary
+        self.columns = tuple(columns)
+        self.dt_s = dt_s
+        self.substeps, self.h = substep_schedule(dt_s)
+        self.lo = lo = bank.lo
+        self.rpm_cap: Optional[np.ndarray] = None
+        if plan is not None and plan.has_fan_faults:
+            self.rpm_cap = plan.rpm_cap[:, lo : lo + len(bank.controllers)]
+        trip = bank.engine.trip_on_critical
+        self.critical_c = physics.critical_c if trip else None
+        self.on_trip = on_trip
+        self.timers = timers
+
+    def seed(self) -> None:
+        """Publish the state before the first tick (idle, start temperatures)."""
+        self.summary.max_junction[...], self.summary.leakage[...] = (
+            self.physics.initial_views_data()
+        )
+        self.publish_slope()
+
+    def publish_slope(self) -> None:
+        """Refresh an eager leakage slope from the current physics state."""
+        if self.summary.slope is not None:
+            self.summary.slope[...] = self.physics.leakage_slope_w_per_c()
+
+    def step(self, tick, time_s, demand_pct, inlet_c, row) -> None:
+        """Poll, physics into ``row``, trip check, publish the summary."""
+        bank = self.bank
+        physics = self.physics
+        summary = self.summary
+        timers = self.timers
+        if bank.due(time_s):
+            if timers is not None:
+                t0 = perf_counter()
+            bank.poll(time_s, summary.max_junction, summary.executed, physics)
+            if timers is not None:
+                timers[0].add(perf_counter() - t0)
+
+        # a degraded fan bank caps the achievable rotor speed below the
+        # controller's command (the command itself is untouched)
+        rpm_command = bank.rpm_command
+        if self.rpm_cap is not None:
+            rpm_command = np.minimum(rpm_command, self.rpm_cap[tick])
+
+        if timers is not None:
+            t0 = perf_counter()
+        power, fan, junction, util, rpm, pstate, deficit = self.columns
+        air_capacity, leakage_w = physics.step_into(
+            self.dt_s,
+            self.substeps,
+            self.h,
+            demand_pct,
+            rpm_command,
+            inlet_c,
+            power[row],
+            fan[row],
+            junction[row],
+            util[row],
+            rpm[row],
+            pstate[row],
+            deficit[row],
+        )
+        critical_c = self.critical_c
+        if critical_c is not None:
+            over = junction[row] > critical_c
+            if over.any():
+                li = int(over.argmax())
+                self.on_trip(
+                    self.lo + li, float(junction[row, li]), float(critical_c[li])
+                )
+
+        # exhaust_temperature_rise_c, with the already-computed stream
+        # heat capacity (identical expression and operands)
+        np.divide(power[row], air_capacity, out=summary.exhaust_rise)
+        summary.executed[...] = util[row]
+        summary.max_junction[...] = junction[row]
+        summary.leakage[...] = leakage_w
+        summary.pstate[...] = pstate[row]
+        self.publish_slope()
+        if timers is not None:
+            timers[1].add(perf_counter() - t0)

@@ -150,6 +150,33 @@ class FleetCapture:
                 self.store.register(name, self._units.get(name, ""))
         self._registered = True
 
+    def flush_through(
+        self,
+        stop: int,
+        steps: int,
+        times_s: np.ndarray,
+        columns: Mapping[str, np.ndarray],
+        unserved_pct: np.ndarray,
+    ) -> None:
+        """Flush the rows below tick *stop* in whole ``chunk_ticks`` slices.
+
+        The remainder goes out once *stop* reaches *steps*.  Called
+        after every tick; after a resume the first call replays the
+        restored prefix in the slices the uninterrupted run flushed.
+        *columns* maps each :data:`CAPTURE_SIGNALS` name to its
+        ``(steps, n)`` column, in RAM or memory-mapped.
+        """
+        chunk = self.chunk_ticks
+        start = self._flushed_ticks
+        while start < stop and (start + chunk <= stop or stop == steps):
+            end = min(start + chunk, stop)
+            self.flush(
+                times_s[start:end],
+                {name: columns[name][start:end] for name in CAPTURE_SIGNALS},
+                unserved_pct=unserved_pct[start:end],
+            )
+            start = end
+
     def flush(
         self,
         times_s: np.ndarray,

@@ -46,8 +46,8 @@ if TYPE_CHECKING:  # circular at runtime: engine imports this module
     from repro.fleet.topology import Fleet
 
 #: Per-server trace columns streamed by the sharded fleet backend, in
-#: file order.  Matches the keys of ``FleetEngine._alloc_traces`` so
-#: the streamed surface cannot drift from the in-RAM trace block.
+#: file order.  ``FleetEngine._alloc_traces`` builds the in-RAM trace
+#: block from the same names, so the two surfaces cannot drift apart.
 FLEET_TRACE_COLUMNS = (
     "power",
     "fan",
@@ -67,7 +67,7 @@ FLEET_SCALAR_TRACE_COLUMNS = (
 )
 
 #: dtype of each per-server column (everything float64 but the p-state).
-_COLUMN_DTYPES: Dict[str, np.dtype] = {
+FLEET_TRACE_DTYPES: Dict[str, np.dtype] = {
     name: np.dtype(np.int64) if name == "pstate" else np.dtype(np.float64)
     for name in FLEET_TRACE_COLUMNS
 }
@@ -110,19 +110,12 @@ class ShardTraceWriter:
         lo: int,
         hi: int,
         steps: int,
-        columns: Optional[Sequence[str]] = None,
     ) -> None:
         if not 0 <= lo < hi <= server_count:
             raise ValueError(
                 f"shard slice [{lo}, {hi}) outside [0, {server_count})"
             )
-        if columns is None:
-            self._offsets = dict(offsets)
-        else:
-            unknown = [c for c in columns if c not in offsets]
-            if unknown:
-                raise KeyError(f"unknown trace columns: {unknown}")
-            self._offsets = {c: offsets[c] for c in columns}
+        self._offsets = dict(offsets)
         self._n = int(server_count)
         self._lo = int(lo)
         self._hi = int(hi)
@@ -180,7 +173,7 @@ class ShardTraceWriter:
                 f"{self._steps}-tick horizon"
             )
         for name, (_, data_offset) in self._offsets.items():
-            dtype = _COLUMN_DTYPES[name]
+            dtype = FLEET_TRACE_DTYPES[name]
             # one dtype-coercing copy per chunk (not per tick); rows
             # must be contiguous for the memoryview writes below
             block = np.ascontiguousarray(chunk[name][:rows], dtype=dtype)  # reprolint: disable=R003
@@ -257,33 +250,25 @@ class ShardedTraceWriter:
                         f"{mapped.shape}, expected "
                         f"{(self.steps, self.server_count)}"
                     )
-                if mapped.dtype != _COLUMN_DTYPES[name]:
+                if mapped.dtype != FLEET_TRACE_DTYPES[name]:
                     raise ValueError(
                         f"cannot resume sharded trace: {path} has dtype "
-                        f"{mapped.dtype}, expected {_COLUMN_DTYPES[name]}"
+                        f"{mapped.dtype}, expected {FLEET_TRACE_DTYPES[name]}"
                     )
             else:
                 mapped = np.lib.format.open_memmap(
                     path,
                     mode="w+",
-                    dtype=_COLUMN_DTYPES[name],
+                    dtype=FLEET_TRACE_DTYPES[name],
                     shape=(self.steps, self.server_count),
                 )
             self._offsets[name] = (path, int(mapped.offset))
             del mapped
 
-    def shard_writer(
-        self, lo: int, hi: int, columns: Optional[Sequence[str]] = None
-    ) -> ShardTraceWriter:
-        """A chunked writer over the ``[lo, hi)`` server slice.
-
-        *columns* restricts the writer (and its completeness check) to
-        a subset of the per-server columns — the sharded engine's
-        workers write the physics columns while the coordinator writes
-        ``inlet``, through two disjoint writers over the same files.
-        """
+    def shard_writer(self, lo: int, hi: int) -> ShardTraceWriter:
+        """A chunked writer of every per-server column over ``[lo, hi)``."""
         return ShardTraceWriter(
-            self._offsets, self.server_count, lo, hi, self.steps, columns
+            self._offsets, self.server_count, lo, hi, self.steps
         )
 
     def read_view(self, name: str) -> np.ndarray:
@@ -386,10 +371,6 @@ class FleetTraceReader:
         self._cache[name] = values
         return values
 
-    def times_s(self) -> np.ndarray:
-        """The end-of-tick timestamp grid (recomputed, bit-exact)."""
-        return np.arange(1, self.steps + 1) * self.dt_s
-
     def to_result(
         self, fleet: "Fleet", materialize: bool = False
     ) -> "FleetResult":
@@ -401,7 +382,6 @@ class FleetTraceReader:
         runs whose directory is deleted right after.
         """
         from repro.fleet.engine import FleetResult
-        from repro.fleet.metrics import compute_fleet_metrics
 
         if fleet.server_count != self.server_count:
             raise ValueError(
@@ -418,44 +398,17 @@ class FleetTraceReader:
                 return materialized
             return values
 
-        trace = {
-            name: col(name)
-            for name in (*FLEET_TRACE_COLUMNS, *FLEET_SCALAR_TRACE_COLUMNS)
-        }
-        fault_active = col("fault_active")
-        metrics = compute_fleet_metrics(
+        return FleetResult.from_traces(
             fleet,
             self.dt_s,
-            trace["power"],
-            trace["fan"],
-            trace["junction"],
-            trace["util"],
-            trace["inlet"],
-            trace["unserved"],
-            work_deficit_pct=trace["deficit"],
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
-        )
-        return FleetResult(
+            {
+                name: col(name)
+                for name in (*FLEET_TRACE_COLUMNS, *FLEET_SCALAR_TRACE_COLUMNS)
+            },
+            col("fault_active"),
             scheduler_name=str(self.meta.get("scheduler", "unknown")),
             controller_name=str(self.meta.get("controller", "unknown")),
             backend=str(self.meta.get("backend", "sharded")),
-            dt_s=self.dt_s,
-            times_s=self.times_s(),
-            total_power_w=trace["power"],
-            fan_power_w=trace["fan"],
-            max_junction_c=trace["junction"],
-            utilization_pct=trace["util"],
-            inlet_c=trace["inlet"],
-            mean_rpm=trace["rpm"],
-            unserved_pct=trace["unserved"],
-            pstate_index=trace["pstate"],
-            work_deficit_pct=trace["deficit"],
-            metrics=metrics,
-            fault_active=fault_active,
-            respilled_pct=trace["respilled"],
-            fault_unserved_pct=trace["fault_unserved"],
         )
 
 

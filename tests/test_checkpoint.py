@@ -66,12 +66,12 @@ FAULTS_JSON = [
 ]
 
 
-def make_engine(backend="vector", faults=None, **kw):
+def make_engine(backend="vector", faults=None, policy="coolest-first", **kw):
     fleet = build_uniform_fleet(rack_count=2, servers_per_rack=3)
     return FleetEngine(
         fleet,
         FleetWorkload(PROFILE, fleet.server_count),
-        scheduler=FleetScheduler(PLACEMENT_POLICIES["coolest-first"]()),
+        scheduler=FleetScheduler(PLACEMENT_POLICIES[policy]()),
         controller_factory=lambda spec: PIController(),
         backend=backend,
         faults=faults,
@@ -239,6 +239,33 @@ class TestFleetResume:
         with pytest.raises(CheckpointError, match="'fleet-legacy' checkpoint"):
             engine.run(dt_s=DT_S, duration_s=DURATION_S, resume_from=path)
 
+    def test_older_carried_state_names_refused(self, tmp_path):
+        """A ``fleet-vector`` checkpoint written before the carried state
+        became one schema (``pstate_now`` / ``leak_w`` instead of
+        ``pstate`` / ``leakage``) fails with a CheckpointError naming
+        the missing array, not with a KeyError."""
+        cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0)
+        make_engine(checkpoint=cfg).run(dt_s=DT_S, duration_s=DURATION_S)
+        current = latest_checkpoint(cfg.root)
+        manifest = read_manifest(current)
+        with np.load(current / "state.npz") as bundle:
+            state = {key: bundle[key] for key in bundle.files}
+        state["pstate_now"] = state.pop("pstate")
+        state["leak_w"] = state.pop("leakage")
+        with np.load(current / "trace.npz") as bundle:
+            trace = {key: bundle[key] for key in bundle.files}
+        writer = CheckpointWriter(tmp_path / "old", manifest["tick"])
+        writer.arrays("state", state)
+        writer.arrays("trace", trace)
+        (writer.staging / "control.pkl").write_bytes(
+            (current / "control.pkl").read_bytes()
+        )
+        old = writer.commit(manifest["kind"], manifest["fingerprint"])
+        with pytest.raises(CheckpointError, match="'leakage'"):
+            make_engine().run(
+                dt_s=DT_S, duration_s=DURATION_S, resume_from=old
+            )
+
     def test_wrong_fingerprint_refused(self, tmp_path):
         cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0)
         make_engine(checkpoint=cfg).run(dt_s=DT_S, duration_s=DURATION_S)
@@ -266,6 +293,82 @@ class TestShardedResume:
                 trace_dir=str(tmp_path / "trace"),
             ).run(dt_s=DT_S, duration_s=DURATION_S, resume_from=cut)
             assert_identical(golden, resumed)
+
+    def test_leakage_aware_resume_bit_identical(self, tmp_path):
+        """The leakage slope the coordinator ranks on is recomputed by
+        each resumed worker from its restored kernel, so a leakage-aware
+        ranking continues exactly across the cut."""
+        golden = make_engine(policy="leakage-aware").run(
+            dt_s=DT_S, duration_s=DURATION_S
+        )
+        cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0,
+                               keep=10)
+        sharded = dict(shards=3, shard_mode="inline", policy="leakage-aware",
+                       trace_dir=str(tmp_path / "trace"))
+        make_engine("sharded", checkpoint=cfg, **sharded).run(
+            dt_s=DT_S, duration_s=DURATION_S
+        )
+        for cut in list_checkpoints(cfg.root):
+            resumed = make_engine("sharded", **sharded).run(
+                dt_s=DT_S, duration_s=DURATION_S, resume_from=cut
+            )
+            assert_identical(golden, resumed)
+
+    def test_capture_rows_survive_resume(self, tmp_path):
+        """A resumed sharded run replays the restored prefix through the
+        capture tap: its store equals an uninterrupted vector run's."""
+
+        def captured(backend, resume_from=None, **kw):
+            store = TimeseriesStore()
+            make_engine(
+                backend, capture=FleetCapture(store=store, chunk_ticks=8),
+                **kw,
+            ).run(dt_s=DT_S, duration_s=DURATION_S, resume_from=resume_from)
+            return {n: store.channel(n).series() for n in
+                    store.channel_names()}
+
+        golden = captured("vector")
+        cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=80.0,
+                               keep=10)
+        sharded = dict(shards=3, shard_mode="inline",
+                       trace_dir=str(tmp_path / "trace"))
+        captured("sharded", checkpoint=cfg, **sharded)
+        for cut in list_checkpoints(cfg.root):
+            resumed = captured("sharded", resume_from=cut, **sharded)
+            assert golden.keys() == resumed.keys()
+            for channel, (times, values) in golden.items():
+                rt, rv = resumed[channel]
+                assert np.array_equal(times, rt), f"{channel} times"
+                assert np.array_equal(values, rv), f"{channel} values"
+
+    def test_stop_waits_for_a_sealed_cut(self, tmp_path, monkeypatch):
+        """A stop requested between spill boundaries takes effect once
+        the next cut is sealed, and that cut resumes bit-identically."""
+        from repro.engine import sharded
+
+        golden = make_engine().run(dt_s=DT_S, duration_s=DURATION_S)
+        cfg = CheckpointConfig(directory=tmp_path / "ckpt", every_s=1e9)
+        kw = dict(shards=3, shard_mode="inline", stream_chunk_ticks=8,
+                  trace_dir=str(tmp_path / "trace"))
+        engine = make_engine("sharded", checkpoint=cfg, **kw)
+        begin_tick = sharded._Coordinator.begin_tick
+
+        def stop_at_21(coordinator, tick):
+            if tick == 21:
+                engine.request_stop()
+            begin_tick(coordinator, tick)
+
+        monkeypatch.setattr(sharded._Coordinator, "begin_tick", stop_at_21)
+        with pytest.raises(RunInterrupted) as err:
+            engine.run(dt_s=DT_S, duration_s=DURATION_S)
+        monkeypatch.undo()
+        assert err.value.checkpoint_path is not None
+        assert read_manifest(err.value.checkpoint_path)["tick"] == 24
+        resumed = make_engine("sharded", **kw).run(
+            dt_s=DT_S, duration_s=DURATION_S,
+            resume_from=err.value.checkpoint_path,
+        )
+        assert_identical(golden, resumed)
 
     def test_checkpoint_needs_persistent_trace_dir(self, tmp_path):
         cfg = CheckpointConfig(directory=tmp_path / "ckpt")

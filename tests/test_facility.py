@@ -12,11 +12,16 @@ Pins the three contracts the facility subsystem makes:
   the queue) changes nothing about the IT-side traces on any backend.
 """
 
+import multiprocessing
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.controllers.coordinated import CoordinatedController
 from repro.core.controllers.default import FixedSpeedController
 from repro.core.controllers.pid import PIController
+from repro.core.lut import build_lut_from_spec
 from repro.engine.checkpoint import CheckpointConfig
 from repro.engine.sharded import ru_maxrss_kib
 from repro.facility import (
@@ -33,7 +38,18 @@ from repro.facility import (
     poisson_job_arrivals,
 )
 from repro.facility.cooling import MAX_COP, MIN_COP
+from repro.fleet import (
+    CracExcursionEvent,
+    FaultSchedule,
+    FleetScheduler,
+    LeakageAwarePolicy,
+    SensorFaultEvent,
+    ServerOutageEvent,
+    build_uniform_fleet,
+)
 from repro.fleet.engine import FleetEngine
+from repro.server.dvfs import default_dvfs_ladder
+from repro.server.specs import default_server_spec
 from repro.units import hours
 from repro.workloads.profile import ConstantProfile, StaircaseProfile
 
@@ -341,22 +357,14 @@ class TestDynamicWorkloadGuards:
             "poisson", fleet.server_count, duration_s=600.0, seed=0
         )
 
-    def test_sharded_backend_rejected(self, small_fleet):
-        with pytest.raises(ValueError, match="sharded"):
-            FleetEngine(
-                small_fleet,
-                self.make_queue(small_fleet),
-                controller_factory=lambda i: FixedSpeedController(rpm=3000.0),
-                backend="sharded",
-                shards=2,
-            )
-
-    def test_checkpointing_rejected(self, small_fleet, tmp_path):
+    @pytest.mark.parametrize("backend", ["vector", "sharded"])
+    def test_checkpointing_rejected(self, small_fleet, tmp_path, backend):
         with pytest.raises(ValueError, match="checkpoint"):
             FleetEngine(
                 small_fleet,
                 self.make_queue(small_fleet),
                 controller_factory=lambda i: FixedSpeedController(rpm=3000.0),
+                backend=backend,
                 checkpoint=CheckpointConfig(directory=tmp_path),
             )
 
@@ -391,6 +399,119 @@ class TestDynamicWorkloadGuards:
             vec.total_power_w, ref.total_power_w, rtol=0, atol=1e-6
         )
         assert vec.utilization_pct.sum() > 0.0
+
+
+def run_facility_queue(backend, **kwargs):
+    """A small ``facility-queue``-shaped run on *backend*.
+
+    Recirculation-coupled racks, a diurnal job queue, leakage-aware
+    placement, coordinated fan + DVFS control, one outage, one CRAC
+    excursion and one sensor-spike channel, composed through cooling,
+    power chain and carbon.
+    """
+    spec = replace(default_server_spec(), dvfs=default_dvfs_ladder())
+    fleet = build_uniform_fleet(rack_count=2, servers_per_rack=3, spec=spec)
+    n = fleet.server_count
+    horizon_s = hours(1.0)
+    lut = build_lut_from_spec(spec)
+    queue = build_job_queue(
+        "diurnal",
+        n,
+        duration_s=horizon_s,
+        seed=11,
+        jobs_per_hour=4.8 * n,
+        mean_work_pct_s=60000.0,
+    )
+    faults = FaultSchedule(
+        events=(
+            ServerOutageEvent(
+                start_s=0.2 * horizon_s, end_s=0.5 * horizon_s, server=1
+            ),
+            CracExcursionEvent(
+                start_s=0.4 * horizon_s,
+                end_s=0.6 * horizon_s,
+                delta_c=3.0,
+                rack=1,
+            ),
+            SensorFaultEvent(
+                server=4, mode="spike", value=15.0, probability=0.1, seed=5
+            ),
+        )
+    )
+    engine = FleetEngine(
+        fleet,
+        queue,
+        scheduler=FleetScheduler(LeakageAwarePolicy()),
+        controller_factory=lambda index: CoordinatedController(
+            lut, spec.dvfs, poll_interval_s=30.0
+        ),
+        backend=backend,
+        faults=faults,
+        **kwargs,
+    )
+    facility = FacilityEngine(
+        engine,
+        cooling=CoolingPlant(),
+        power=PowerChain(rated_power_w=n * 600.0),
+        carbon=build_diurnal_carbon_model(duration_s=horizon_s),
+    )
+    return facility.run(dt_s=10.0)
+
+
+class TestShardedQueue:
+    """Queue-driven demand runs on the sharded backend bit-identically:
+    the coordinator's placement asks the queue for demand and feeds it
+    the executed work after every tick, as the vector loop does."""
+
+    @pytest.fixture(scope="class")
+    def vector_run(self):
+        return run_facility_queue("vector")
+
+    def test_scenario_exercises_the_queue(self, vector_run):
+        fleet = vector_run.fleet
+        assert vector_run.metrics.queue.completed > 0
+        assert fleet.respilled_pct.sum() > 0.0
+        assert (np.asarray(fleet.pstate_index) > 0).any()
+        assert fleet.fault_active.any()
+
+    @pytest.mark.parametrize(
+        "shard_mode,shards", [("inline", (1, 4, 1)), ("process", 2)]
+    )
+    def test_sharded_matches_vector(
+        self, vector_run, tmp_path, shard_mode, shards
+    ):
+        if (
+            shard_mode == "process"
+            and "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            pytest.skip("fork start method unavailable")
+        sharded = run_facility_queue(
+            "sharded",
+            shards=shards,
+            shard_mode=shard_mode,
+            trace_dir=str(tmp_path / "trace"),
+        )
+        assert sharded.fleet.backend == "sharded"
+        assert_traces_equal(sharded.fleet, vector_run.fleet)
+        for name in ("fault_active", "respilled_pct", "fault_unserved_pct"):
+            np.testing.assert_array_equal(
+                np.asarray(getattr(sharded.fleet, name)),
+                np.asarray(getattr(vector_run.fleet, name)),
+                err_msg=name,
+            )
+        assert sharded.metrics.queue == vector_run.metrics.queue
+        assert sharded.metrics == vector_run.metrics
+        for name in (
+            "cooling_power_w",
+            "utility_power_w",
+            "return_c",
+            "carbon_kg",
+        ):
+            np.testing.assert_array_equal(
+                getattr(sharded, name),
+                getattr(vector_run, name),
+                err_msg=name,
+            )
 
 
 # ----------------------------------------------------------------------

@@ -25,9 +25,19 @@ from repro.fleet import (
     build_uniform_fleet,
     compute_fleet_metrics,
 )
+from repro.engine.kernel import FleetVectorKernel
+from repro.fleet.stages import (
+    STEP_OUTPUT_COLUMNS,
+    ControllerBank,
+    FleetSummary,
+    ServerStep,
+    raise_critical_trip,
+)
+from repro.fleet.topology import exhaust_temperature_rise_c
 from repro.server.ambient import SinusoidalAmbient
 from repro.server.server import CriticalTemperatureError, ServerSimulator
 from repro.server.specs import CpuSocketSpec, ServerSpec, default_server_spec
+from repro.telemetry.segments import FLEET_TRACE_DTYPES
 from repro.workloads.profile import ConstantProfile, StaircaseProfile
 
 
@@ -301,6 +311,86 @@ class TestBackendEquivalence:
         assert np.all(vec.inlet_c >= supply - 1e-12)
         assert vec.inlet_c.min() < 23.0  # the cold half-period shows
         assert np.ptp(vec.inlet_c) > 3.0
+
+
+class TestServerStep:
+    """The per-server stage of both tick loops: the rows it writes are
+    the carried state it publishes, and a trip names the first server
+    over its threshold."""
+
+    def make(self, dvfs_spec, on_trip=raise_critical_trip):
+        fleet = build_uniform_fleet(
+            rack_count=1, servers_per_rack=3, spec=dvfs_spec
+        )
+        engine = FleetEngine(
+            fleet,
+            ConstantProfile(50.0, 10.0),
+            controller_factory=lambda i: FixedSpeedController(rpm=3000.0),
+        )
+        kernel = FleetVectorKernel(fleet)
+        bank = ControllerBank(engine, engine.controllers, None)
+        bank.reset(kernel.rpm)
+        summary = FleetSummary(
+            *(np.zeros(3) for _ in range(4)),
+            np.zeros(3, dtype=np.int64),
+            slope=np.zeros(3),
+        )
+        columns = [
+            np.zeros((2, 3), dtype=FLEET_TRACE_DTYPES[name])
+            for name in STEP_OUTPUT_COLUMNS
+        ]
+        step = ServerStep(
+            kernel, bank, None, summary, columns, 1.0, on_trip=on_trip
+        )
+        return kernel, summary, columns, step
+
+    def test_publishes_the_rows_it_wrote(self, dvfs_spec):
+        kernel, summary, columns, step = self.make(dvfs_spec)
+        step.seed()
+        np.testing.assert_array_equal(
+            summary.max_junction, kernel.t_j.max(axis=1)
+        )
+        np.testing.assert_array_equal(
+            summary.slope, kernel.leakage_slope_w_per_c()
+        )
+        kernel.set_pstates([1], [2])
+        step.step(0, 0.0, np.array([40.0, 90.0, 10.0]), np.full(3, 24.0), 1)
+        power, fan, junction, util, rpm, pstate, deficit = columns
+        assert not power[0].any(), "only the given row is written"
+        np.testing.assert_array_equal(summary.executed, util[1])
+        np.testing.assert_array_equal(summary.max_junction, junction[1])
+        np.testing.assert_array_equal(summary.pstate, [0, 2, 0])
+        np.testing.assert_array_equal(summary.pstate, pstate[1])
+        _, leakage_w = kernel.initial_views_data()  # the current state
+        np.testing.assert_array_equal(summary.leakage, leakage_w)
+        np.testing.assert_array_equal(
+            summary.slope, kernel.leakage_slope_w_per_c()
+        )
+        airflow = kernel.fan_count * kernel.fan_cfm_ref * (
+            kernel.rpm / kernel.fan_rpm_ref
+        )
+        np.testing.assert_allclose(
+            summary.exhaust_rise,
+            exhaust_temperature_rise_c(power[1], airflow),
+            rtol=1e-12,
+        )
+
+    def test_trip_names_the_first_hot_server(self, dvfs_spec):
+        trips = []
+        kernel, _, columns, step = self.make(
+            dvfs_spec, on_trip=lambda *trip: trips.append(trip)
+        )
+        step.seed()
+        kernel.critical_c[:] = [1e3, 0.0, 0.0]
+        step.step(0, 0.0, np.full(3, 50.0), np.full(3, 24.0), 0)
+        junction = columns[STEP_OUTPUT_COLUMNS.index("junction")]
+        assert trips == [(1, float(junction[0, 1]), 0.0)]
+        with pytest.raises(
+            CriticalTemperatureError,
+            match=r"^server 1 junction reached 95\.0 degC "
+            r"\(critical threshold 0\.0 degC\)$",
+        ):
+            raise_critical_trip(1, 95.0, 0.0)
 
 
 class TestRecirculation:

@@ -273,13 +273,15 @@ class TestFaultSchedules:
 
 
 class TestCriticalTrip:
-    def _fleet_with_fragile_server(self):
+    def _fleet_with_fragile_server(self, fragile_servers=(4,)):
         fragile = ServerSpec(
             critical_temperature_c=76.0, target_max_temperature_c=70.0
         )
-        # server 4 (inside the second of two shards) trips first
+        # by default server 4 (inside the second of two shards) trips
+        # first
         specs = [default_server_spec()] * 6
-        specs[4] = fragile
+        for index in fragile_servers:
+            specs[index] = fragile
         from repro.fleet import Fleet, Rack
 
         return Fleet(
@@ -288,6 +290,30 @@ class TestCriticalTrip:
                 Rack(name="r1", servers=tuple(specs[3:])),
             )
         )
+
+    def test_simultaneous_trips_name_the_first_server(self):
+        """Servers in both shards trip on the same tick: the coordinator
+        raises for the lowest server index, as the vector loop does."""
+        fleet = self._fleet_with_fragile_server(fragile_servers=(1, 4))
+        messages = []
+        for backend, kw in (
+            ("vector", {}),
+            ("sharded", {"shards": 2, "shard_mode": "inline"}),
+        ):
+            engine = FleetEngine(
+                fleet,
+                FleetWorkload(
+                    StaircaseProfile([100.0], 600.0), fleet.server_count
+                ),
+                controller_factory=lambda i: FixedSpeedController(rpm=1800.0),
+                backend=backend,
+                **kw,
+            )
+            with pytest.raises(CriticalTemperatureError) as exc:
+                engine.run(dt_s=5.0, duration_s=600.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("server 1 ")
 
     @pytest.mark.parametrize("shard_mode", ["inline", "process"])
     def test_trip_matches_vector_message(self, shard_mode):
